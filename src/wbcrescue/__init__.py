@@ -1,48 +1,3 @@
 """Post-hoc rare-class rescue for white blood cell classifiers."""
 
-from .core import (
-    DEFAULT_LABELS,
-    ClassCounts,
-    DecisionTrace,
-    LabelSet,
-    Phase,
-    RescueConfig,
-    ValidationError,
-    build_label_set,
-    default_label_set,
-    normalize_probs,
-)
-from .ingest import (
-    CellSample,
-    DirectorySampleSource,
-    ProbTable,
-    SampleNotFoundError,
-    average_prob_tables,
-    load_cell_sample,
-    parse_class_counts,
-    parse_prob_table,
-)
-from .metrics import build_confusion, compute_metrics, evaluate
-from .morphology import (
-    GaussianGate,
-    MorphVector,
-    calibrate_spikiness_threshold,
-    fit_gaussian_gate,
-    kmeans2_luminance,
-    mahalanobis,
-    morph_vector,
-    spikiness,
-    trace_contour,
-)
-from .noise import NoiseReport, inject_salt_pepper, noise_score, partition_by_noise
-from .rescue import (
-    BoostFactors,
-    compute_boost_factors,
-    phase1_candidate,
-    phase2_verify,
-    phase3_filter,
-    rescue_batch,
-    suppress_and_rescue,
-)
-
 __version__ = "0.1.0"

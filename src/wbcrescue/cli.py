@@ -13,7 +13,8 @@ import logging
 import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; kept bound because perfbench/tracing.py patches cli.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .ingest import (
     DirectorySampleSource,
     SampleNotFoundError,
     average_prob_tables,
+    find_image,
     list_image_ids,
     parse_class_counts,
     parse_prob_table,
@@ -50,8 +52,8 @@ from .morphology import (
 from .noise import inject_salt_pepper, noise_score
 from .rescue import (
     FILTERED_CLASSES,
+    parallel_map,
     rescue_batch,
-    resolve_threads,
     write_predictions_csv,
     write_trace_csv,
 )
@@ -81,26 +83,20 @@ def _atomic(path):
         raise
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = -1
+    if threads < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return threads
 
 
 def _load_labels(args):
     if args.labels:
         return load_label_file(args.labels)
     return default_label_set()
-
-
-def _find_image(images_dir: Path, image_id: str) -> Path:
-    for suffix in (".ppm", ".pgm"):
-        candidate = images_dir / (image_id + suffix)
-        if candidate.is_file():
-            return candidate
-    raise SampleNotFoundError(f"no image for {image_id!r} under {images_dir}")
 
 
 def _derive_seed(base_seed: int, image_id: str) -> int:
@@ -117,6 +113,9 @@ class _MissingDirsSource:
 
 
 def _cmd_rescue(args) -> int:
+    if bool(args.images) != bool(args.masks):
+        given, missing = ("--images", "--masks") if args.images else ("--masks", "--images")
+        raise ValidationError(f"{given} was given without {missing}")
     label_set = _load_labels(args)
     if args.config:
         config = parse_config_file(args.config, label_set)
@@ -133,7 +132,7 @@ def _cmd_rescue(args) -> int:
     swin = parse_prob_table(args.swin, label_set)
     med = parse_prob_table(args.med, label_set)
     gate = load_gate(args.gate) if args.gate else None
-    if args.images and args.masks:
+    if args.images:
         source = DirectorySampleSource(args.images, args.masks)
     else:
         source = _MissingDirsSource()
@@ -194,20 +193,19 @@ def _cmd_features(args) -> int:
         sample = source(image_id)
         return image_id, morph_vector(sample), spikiness(trace_contour(sample.mask))
 
-    rows = _parallel_map(extract, ids, args.threads)
+    rows = parallel_map(extract, ids, args.threads)
     with _atomic(args.out) as tmp:
         write_features_csv(tmp, rows)
     return 0
 
 
 def _cmd_noise_score(args) -> int:
-    images_dir = Path(args.images)
-    ids = list_image_ids(images_dir)
+    ids = list_image_ids(args.images)
 
     def score(image_id: str):
-        return image_id, noise_score(read_image_rgb(_find_image(images_dir, image_id)))
+        return image_id, noise_score(read_image_rgb(find_image(args.images, image_id)))
 
-    rows = _parallel_map(score, ids, args.threads)
+    rows = parallel_map(score, ids, args.threads)
     with _atomic(args.out) as tmp:
         with open(tmp, "w", newline="", encoding="utf-8") as handle:
             handle.write("image_id,residual\n")
@@ -217,20 +215,19 @@ def _cmd_noise_score(args) -> int:
 
 
 def _cmd_inject_noise(args) -> int:
-    images_dir = Path(args.images)
     out_dir = Path(args.out)
-    ids = list_image_ids(images_dir)
+    ids = list_image_ids(args.images)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def corrupt(image_id: str):
-        pixels = read_image_rgb(_find_image(images_dir, image_id))
+        pixels = read_image_rgb(find_image(args.images, image_id))
         noisy = inject_salt_pepper(
             pixels, args.density, args.salt_ratio, _derive_seed(args.seed, image_id)
         )
         with _atomic(out_dir / (image_id + ".ppm")) as tmp:
             write_pnm(tmp, noisy)
 
-    _parallel_map(corrupt, ids, args.threads)
+    parallel_map(corrupt, ids, args.threads)
     return 0
 
 
@@ -252,9 +249,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
-        help="worker threads for per-image stages (0 = all cores)",
+        help="worker threads for per-image stages (0 = all usable cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

@@ -89,10 +89,6 @@ class LabelSet:
         return f"LabelSet({list(self._names)!r})"
 
 
-def build_label_set(names: Iterable[str]) -> LabelSet:
-    return LabelSet(names)
-
-
 def default_label_set() -> LabelSet:
     return LabelSet(DEFAULT_LABELS)
 

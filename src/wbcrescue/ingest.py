@@ -189,12 +189,6 @@ def load_cell_sample(image_path, mask_path, image_id: str) -> CellSample:
     mask_raw = read_pnm(mask_path)
     if mask_raw.ndim != 2:
         raise ValidationError(f"{mask_path}: mask must be P5 grayscale")
-    if mask_raw.shape != pixels.shape[:2]:
-        raise ValidationError(
-            f"{image_id}: dimension mismatch: image "
-            f"{pixels.shape[1]}x{pixels.shape[0]} vs mask "
-            f"{mask_raw.shape[1]}x{mask_raw.shape[0]}"
-        )
     mask = mask_raw > 127
     pixels = np.ascontiguousarray(pixels)
     pixels.flags.writeable = False
@@ -232,6 +226,16 @@ SampleSource = Callable[[str], CellSample]
 _IMAGE_SUFFIXES = (".ppm", ".pgm")
 
 
+def find_image(images_dir, image_id: str) -> Path:
+    """Path of `<id>.ppm` under `images_dir`, else of `<id>.pgm`."""
+    directory = Path(images_dir)
+    for suffix in _IMAGE_SUFFIXES:
+        candidate = directory / (image_id + suffix)
+        if candidate.is_file():
+            return candidate
+    raise SampleNotFoundError(f"no image for {image_id!r} under {directory}")
+
+
 class DirectorySampleSource:
     """Looks up `<id>.ppm`/`<id>.pgm` images and `<id>.pgm` masks on demand."""
 
@@ -240,16 +244,7 @@ class DirectorySampleSource:
         self.masks_dir = Path(masks_dir)
 
     def __call__(self, image_id: str) -> CellSample:
-        image_path = None
-        for suffix in _IMAGE_SUFFIXES:
-            candidate = self.images_dir / (image_id + suffix)
-            if candidate.is_file():
-                image_path = candidate
-                break
-        if image_path is None:
-            raise SampleNotFoundError(
-                f"no image for {image_id!r} under {self.images_dir}"
-            )
+        image_path = find_image(self.images_dir, image_id)
         mask_path = self.masks_dir / (image_id + ".pgm")
         if not mask_path.is_file():
             raise SampleNotFoundError(f"no mask for {image_id!r} under {self.masks_dir}")

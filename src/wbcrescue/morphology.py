@@ -209,7 +209,7 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
 
 def kmeans2_luminance(
     sample: CellSample, max_iter: int = 100
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Partition foreground pixels into nucleus and cytoplasm by luminance.
 
     Runs Lloyd's 2-means on the 1-D luminances with deterministic
@@ -219,9 +219,8 @@ def kmeans2_luminance(
     but globally suboptimal threshold, and the optimal 1-D 2-means
     partition is always a threshold.
 
-    Returns (nucleus_mask, cytoplasm_mask, (nucleus_centroid,
-    cytoplasm_centroid)); the darker cluster is the nucleus and the two
-    masks partition the foreground.
+    Returns (nucleus_mask, cytoplasm_mask); the darker cluster is the
+    nucleus and the two masks partition the foreground.
     """
     foreground = np.asarray(sample.mask, dtype=bool)
     if not foreground.any():
@@ -256,12 +255,9 @@ def kmeans2_luminance(
             split = best_split
 
     cut = sorted_values[split - 1]
-    nucleus_sel = values <= cut
     nucleus_mask = np.zeros_like(foreground)
-    nucleus_mask[foreground] = nucleus_sel
-    cytoplasm_mask = foreground & ~nucleus_mask
-    centroids = (float(values[nucleus_sel].mean()), float(values[~nucleus_sel].mean()))
-    return nucleus_mask, cytoplasm_mask, centroids
+    nucleus_mask[foreground] = values <= cut
+    return nucleus_mask, foreground & ~nucleus_mask
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ class MorphVector:
 
 def morph_vector(sample: CellSample) -> MorphVector:
     """Extract the 3-component shape vector from one segmented cell."""
-    nucleus_mask, cytoplasm_mask, _ = kmeans2_luminance(sample)
+    nucleus_mask, cytoplasm_mask = kmeans2_luminance(sample)
     area_nucleus = int(nucleus_mask.sum())
     area_cytoplasm = int(cytoplasm_mask.sum())
     if area_nucleus == 0 or area_cytoplasm == 0:

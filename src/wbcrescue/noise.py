@@ -4,7 +4,6 @@ manufactures paired training data from the clean side."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -37,27 +36,14 @@ def noise_score(pixels) -> float:
     return float(np.abs(lum - _median_filter_3x3(lum)).mean())
 
 
-@dataclass(frozen=True)
-class NoiseReport:
-    image_id: str
-    residual: float
-    is_noisy: bool
-
-
 def partition_by_noise(scored: Iterable, threshold: float) -> tuple[list[str], list[str]]:
-    """Stable split into (noisy, clean) ids by residual > threshold.
-
-    Accepts NoiseReport objects or plain (image_id, residual) pairs.
-    """
+    """Stable split of (image_id, residual) pairs into (noisy, clean) ids by
+    residual > threshold."""
     if threshold < 0:
         raise ValidationError(f"noise threshold must be >= 0, got {threshold}")
     noisy: list[str] = []
     clean: list[str] = []
-    for entry in scored:
-        if isinstance(entry, NoiseReport):
-            image_id, residual = entry.image_id, entry.residual
-        else:
-            image_id, residual = entry
+    for image_id, residual in scored:
         (noisy if residual > threshold else clean).append(image_id)
     return noisy, clean
 

@@ -214,12 +214,20 @@ def suppress_and_rescue(
     )
 
 
-def resolve_threads(threads: int) -> int:
+def parallel_map(fn, items, threads: int) -> list:
+    """`[fn(item) for item in items]` on up to `threads` worker threads,
+    0 meaning one per CPU this process may run on. Results keep input order."""
     if threads < 0:
         raise ValidationError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
-        return os.cpu_count() or 1
-    return threads
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            threads = os.cpu_count() or 1
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def rescue_batch(
@@ -270,11 +278,7 @@ def rescue_batch(
             missing_sample_ok=skip_missing,
         )
 
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(swin_table) <= 1:
-        return [decide(row) for row in swin_table]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(decide, swin_table.rows))
+    return parallel_map(decide, swin_table.rows, threads)
 
 
 def write_predictions_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:

@@ -274,7 +274,7 @@ def test_criterion_03_kmeans_threshold_optimality():
             mask[cell // 4, cell % 4] = True
             gray[cell // 4, cell % 4] = value
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+        nucleus, cytoplasm = kmeans2_luminance(sample)
         got = _cluster_wcss(sample, nucleus, cytoplasm)
         want = _oracle_best_wcss(list(luminance(sample.pixels)[mask]))
         checked += 1
@@ -287,7 +287,7 @@ def test_criterion_03_kmeans_threshold_optimality():
         for high in range(low + 1, 256, 5):
             gray = np.array([[low, high]], dtype=np.uint8)
             sample = gray_sample(gray, mask)
-            nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+            nucleus, cytoplasm = kmeans2_luminance(sample)
             if _cluster_wcss(sample, nucleus, cytoplasm) != 0.0:
                 two_value_mismatches += 1
     full_pairs_ok = _all_two_value_pairs_exact()
@@ -306,7 +306,7 @@ def _all_two_value_pairs_exact():
         for high in range(low + 1, 256):
             gray = np.array([[low, high]], dtype=np.uint8)
             sample = gray_sample(gray, mask)
-            nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+            nucleus, cytoplasm = kmeans2_luminance(sample)
             if int(nucleus.sum()) != 1 or int(cytoplasm.sum()) != 1:
                 return False
             values = luminance(sample.pixels)

@@ -1,6 +1,10 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from wbcrescue import rescue
 from wbcrescue.cli import run
 from wbcrescue.core import default_label_set
 from wbcrescue.ingest import (
@@ -17,6 +21,7 @@ from wbcrescue.morphology import (
     save_gate,
 )
 from wbcrescue.netpbm import write_pnm
+from wbcrescue.noise import noise_score
 
 from synth import build_corpus, write_csv, write_label_file
 
@@ -175,6 +180,19 @@ def test_rescue_without_image_dirs_fails_at_phase3(corpus, tmp_path, capsys):
     )
 
 
+def test_rescue_with_one_image_dir_fails_before_parsing(corpus, tmp_path, capsys):
+    paths, gate_path, config_path = corpus
+    out = tmp_path / "pred.csv"
+    for given, missing in (("--images", "--masks"), ("--masks", "--images")):
+        args = _rescue_args(paths, gate_path, config_path, out, extra=["--skip-missing"])
+        del args[args.index(missing) : args.index(missing) + 2]
+        # A table that cannot be read would exit 2; the flag check comes first.
+        args[args.index("--swin") + 1] = str(tmp_path / "absent.csv")
+        assert run(args) == 1
+        assert f"{given} was given without {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_rescue_rejects_unfilterable_rare_class(corpus, tmp_path, capsys):
     paths, gate_path, _ = corpus
     config = tmp_path / "bad.conf"
@@ -245,6 +263,17 @@ def test_noise_score_and_inject(tmp_path):
     assert set(np.unique(corrupted[changed]).tolist()) <= {0, 255}
 
 
+def test_noise_score_prefers_ppm_over_pgm(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    textured = np.random.default_rng(7).integers(0, 256, (8, 8, 3), dtype=np.uint8)
+    write_pnm(images / "x.ppm", textured)
+    write_pnm(images / "x.pgm", np.full((8, 8), 90, dtype=np.uint8))
+    scores = tmp_path / "scores.csv"
+    assert run(["noise-score", "--images", str(images), "--out", str(scores)]) == 0
+    assert scores.read_text().splitlines()[1:] == [f"x,{noise_score(textured):.6f}"]
+
+
 def test_inject_noise_is_order_independent_per_image(tmp_path):
     # Per-image seeds derive from the id, so adding a file never changes
     # the corruption applied to existing ones.
@@ -279,12 +308,63 @@ def test_threads_do_not_change_rescue_output(corpus, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_zero_means_auto(corpus, tmp_path):
+def test_threads_do_not_change_per_image_command_outputs(corpus, tmp_path):
+    paths, _, _ = corpus
+    outputs = []
+    for threads in ("1", "4"):
+        base = tmp_path / f"t{threads}"
+        images = ["--images", str(paths.images)]
+        commands = [
+            ["features", *images, "--masks", str(paths.masks), "--out", str(base / "f.csv")],
+            ["noise-score", *images, "--out", str(base / "scores.csv")],
+            ["inject-noise", *images, "--out", str(base / "noisy"), "--density", "0.1"],
+        ]
+        base.mkdir()
+        for command in commands:
+            assert run(["--threads", threads, *command]) == 0
+        outputs.append(
+            {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+        )
+    assert len(outputs[0]) == 2 + 38
+    assert outputs[0] == outputs[1]
+
+
+def test_threads_zero_means_auto(corpus, tmp_path, monkeypatch):
     paths, gate_path, config_path = corpus
+    pool_sizes = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rescue, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     out = tmp_path / "pred.csv"
     args = ["--threads", "0"] + _rescue_args(paths, gate_path, config_path, out)
     assert run(args) == 0
     assert out.exists()
+    # Without an affinity call the pool falls back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert run(args) == 0
+    assert pool_sizes == [3, 5]
+
+
+def test_negative_threads_is_usage_error(tmp_path, capsys):
+    commands = (
+        "rescue", "ensemble", "fit-pc-model", "calibrate-spikiness",
+        "features", "noise-score", "inject-noise", "evaluate",
+    )
+    for command in commands:
+        assert run(["--threads", "-1", command]) == 1
+        assert "argument --threads: must be an integer >= 0" in capsys.readouterr().err
+    truth = write_csv(tmp_path / "truth.csv", ["image_id", "label"], [["a", "LY"]])
+    out = tmp_path / "report.txt"
+    args = ["evaluate", "--pred", str(truth), "--truth", str(truth), "--out", str(out)]
+    assert run(["--threads", "-1", *args]) == 1
+    assert not out.exists()
+    assert run(["--threads", "0", *args]) == 0
 
 
 def test_rescue_without_gate_fails_when_pc_candidate_surfaces(corpus, tmp_path, capsys):

@@ -12,7 +12,6 @@ from wbcrescue.core import (
     Phase,
     RescueConfig,
     ValidationError,
-    build_label_set,
     default_label_set,
     load_label_file,
     normalize_probs,
@@ -21,7 +20,7 @@ from wbcrescue.core import (
 
 
 def test_label_set_identity_construction():
-    labels = build_label_set(["SNE", "LY", "PLY", "PC"])
+    labels = LabelSet(["SNE", "LY", "PLY", "PC"])
     assert len(labels) == 4
     assert labels.index_of("SNE") == 0
     assert labels.name_at(3) == "PC"
@@ -29,17 +28,17 @@ def test_label_set_identity_construction():
 
 def test_label_set_rejects_duplicates():
     with pytest.raises(ValidationError, match="duplicate class name"):
-        build_label_set(["LY", "LY"])
+        LabelSet(["LY", "LY"])
 
 
 def test_label_set_rejects_empty_name():
     with pytest.raises(ValidationError, match="empty class name"):
-        build_label_set(["LY", ""])
+        LabelSet(["LY", ""])
 
 
 def test_label_set_needs_two_classes():
     with pytest.raises(ValidationError):
-        build_label_set(["LY"])
+        LabelSet(["LY"])
 
 
 def test_default_catalog_has_13_classes_and_the_special_names():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from wbcrescue.core import ValidationError, build_label_set
+from wbcrescue.core import LabelSet, ValidationError
 from wbcrescue.ingest import (
     DirectorySampleSource,
     ProbTable,
     SampleNotFoundError,
     average_prob_tables,
+    find_image,
     list_image_ids,
     load_cell_sample,
     parse_class_counts,
@@ -20,7 +21,7 @@ from synth import write_csv
 
 @pytest.fixture
 def labels2():
-    return build_label_set(["SNE", "LY"])
+    return LabelSet(["SNE", "LY"])
 
 
 # ---------------------------------------------------------------- netpbm
@@ -204,7 +205,7 @@ def test_prob_table_serialization_round_trip(tmp_path, labels2):
 
 
 def test_parse_class_counts_census(tmp_path):
-    labels = build_label_set(["SNE", "PC", "PLY"])
+    labels = LabelSet(["SNE", "PC", "PLY"])
     path = write_csv(
         tmp_path / "c.csv", ["class", "count"],
         [["SNE", "17354"], ["PC", "90"], ["PLY", "14"]],
@@ -219,7 +220,7 @@ def test_parse_class_counts_uniform(tmp_path, labels2):
 
 
 def test_parse_class_counts_missing_class(tmp_path):
-    labels = build_label_set(["SNE", "PLY"])
+    labels = LabelSet(["SNE", "PLY"])
     path = write_csv(tmp_path / "c.csv", ["class", "count"], [["SNE", "10"]])
     with pytest.raises(ValidationError, match="missing count for class PLY"):
         parse_class_counts(path, labels)
@@ -295,7 +296,7 @@ def test_average_rejects_id_mismatch(labels2):
 
 
 def test_average_rejects_catalog_mismatch(labels2):
-    other = build_label_set(["SNE", "VLY"])
+    other = LabelSet(["SNE", "VLY"])
     a = _table(labels2, [("img1", [0.5, 0.5])])
     b = ProbTable(other, [("img1", np.array([0.5, 0.5]))])
     with pytest.raises(ValidationError, match="different label catalogs"):
@@ -325,3 +326,14 @@ def test_directory_source_finds_and_misses(tmp_path):
     with pytest.raises(SampleNotFoundError, match="no mask"):
         source("b")
     assert list_image_ids(images) == ["a", "b"]
+    # `.ppm` wins over a `.pgm` of the same id, for samples and bare lookups.
+    write_pnm(images / "x.ppm", np.full((2, 2, 3), 200, dtype=np.uint8))
+    write_pnm(images / "x.pgm", np.zeros((2, 2), dtype=np.uint8))
+    write_pnm(masks / "x.pgm", np.full((2, 2), 255, dtype=np.uint8))
+    assert find_image(images, "x") == images / "x.ppm"
+    assert (source("x").pixels == 200).all()
+    with pytest.raises(SampleNotFoundError) as from_source:
+        source("z")
+    with pytest.raises(SampleNotFoundError) as from_lookup:
+        find_image(str(images), "z")
+    assert str(from_source.value) == str(from_lookup.value)

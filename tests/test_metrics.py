@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wbcrescue.core import ValidationError, build_label_set
+from wbcrescue.core import LabelSet, ValidationError
 from wbcrescue.metrics import (
     build_confusion,
     compute_metrics,
@@ -167,7 +167,7 @@ def test_evaluate_identical_files(tmp_path, labels13):
 
 
 def test_evaluate_single_disagreement(tmp_path):
-    labels = build_label_set(["A", "B"])
+    labels = LabelSet(["A", "B"])
     truth_rows = [[f"img{i}", "A" if i < 6 else "B"] for i in range(10)]
     pred_rows = [list(row) for row in truth_rows]
     pred_rows[0][1] = "B"
@@ -195,7 +195,7 @@ def test_read_label_csv_rejects_unknown_label(tmp_path, labels13):
 
 
 def test_report_formatting_is_fixed_precision(tmp_path):
-    labels = build_label_set(["A", "B"])
+    labels = LabelSet(["A", "B"])
     report = compute_metrics(np.array([[8, 2], [1, 9]]))
     text = format_report(report, labels)
     assert text.splitlines()[0] == "samples: 20"
@@ -205,7 +205,7 @@ def test_report_formatting_is_fixed_precision(tmp_path):
 
 
 def test_confusion_csv(tmp_path):
-    labels = build_label_set(["A", "B"])
+    labels = LabelSet(["A", "B"])
     path = tmp_path / "cm.csv"
     write_confusion_csv(path, np.array([[8, 2], [1, 9]]), labels)
     assert path.read_text().splitlines() == [

@@ -140,18 +140,18 @@ def test_convex_hull_of_square_ring():
 def test_kmeans_worked_example():
     gray = np.array([[10, 12], [200, 210]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((2, 2), dtype=bool))
-    nucleus, cytoplasm, centroids = kmeans2_luminance(sample)
+    nucleus, cytoplasm = kmeans2_luminance(sample)
     values = luminance(sample.pixels)
     assert sorted(values[nucleus]) == pytest.approx([10.0, 12.0])
     assert sorted(values[cytoplasm]) == pytest.approx([200.0, 210.0])
-    assert centroids[0] == pytest.approx(11.0)
-    assert centroids[1] == pytest.approx(205.0)
+    assert values[nucleus].mean() == pytest.approx(11.0)
+    assert values[cytoplasm].mean() == pytest.approx(205.0)
 
 
 def test_kmeans_two_point_case():
     gray = np.array([[0, 255]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((1, 2), dtype=bool))
-    nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+    nucleus, cytoplasm = kmeans2_luminance(sample)
     assert nucleus.tolist() == [[True, False]]
     assert cytoplasm.tolist() == [[False, True]]
 
@@ -164,7 +164,7 @@ def test_kmeans_outputs_partition_foreground():
         mask[2, 2] = mask[3, 3] = True
         gray[2, 2], gray[3, 3] = 0, 255  # guarantee two distinct luminances
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+        nucleus, cytoplasm = kmeans2_luminance(sample)
         assert not (nucleus & cytoplasm).any()
         assert ((nucleus | cytoplasm) == mask).all()
 
@@ -220,7 +220,7 @@ def test_kmeans_matches_threshold_oracle_on_small_inputs():
         if len(set(values.tolist())) < 2:
             continue
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+        nucleus, cytoplasm = kmeans2_luminance(sample)
         got = _returned_wcss(sample, nucleus, cytoplasm)
         want = _oracle_best_wcss(list(luminance(sample.pixels)[mask]))
         assert got == want
@@ -231,7 +231,7 @@ def test_kmeans_escapes_locally_stable_split():
     # split of {0, 10, 11, 21}; optimum isolates the far endpoint.
     gray = np.array([[0, 10], [11, 21]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((2, 2), dtype=bool))
-    nucleus, cytoplasm, _ = kmeans2_luminance(sample)
+    nucleus, cytoplasm = kmeans2_luminance(sample)
     got = _returned_wcss(sample, nucleus, cytoplasm)
     want = _oracle_best_wcss(list(luminance(sample.pixels)[sample.mask]))
     assert got == want

@@ -3,7 +3,6 @@ import pytest
 
 from wbcrescue.core import ValidationError
 from wbcrescue.noise import (
-    NoiseReport,
     inject_salt_pepper,
     noise_score,
     partition_by_noise,
@@ -94,16 +93,6 @@ def test_partition_matches_counting_oracle():
 def test_partition_rejects_negative_threshold():
     with pytest.raises(ValidationError):
         partition_by_noise([], threshold=-1.0)
-
-
-def test_noise_report_record():
-    report = NoiseReport("a", 3.5, True)
-    assert report.image_id == "a" and report.is_noisy
-
-
-def test_partition_accepts_reports():
-    reports = [NoiseReport("a", 0.2, False), NoiseReport("b", 7.0, True)]
-    assert partition_by_noise(reports, 5.0) == (["b"], ["a"])
 
 
 def test_inject_zero_density_is_identity():

@@ -10,7 +10,6 @@ from wbcrescue.core import (
     Phase,
     RescueConfig,
     ValidationError,
-    build_label_set,
     default_label_set,
 )
 from wbcrescue.ingest import ProbTable, SampleNotFoundError
