@@ -9,6 +9,7 @@ place, so failures never leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
@@ -208,9 +209,10 @@ def _cmd_noise_score(args) -> int:
     rows = parallel_map(score, ids, args.threads)
     with _atomic(args.out) as tmp:
         with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            handle.write("image_id,residual\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["image_id", "residual"])
             for image_id, residual in rows:
-                handle.write(f"{image_id},{residual:.6f}\n")
+                writer.writerow([image_id, f"{residual:.6f}"])
     return 0
 
 

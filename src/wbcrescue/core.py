@@ -4,6 +4,7 @@ configuration, and the per-image decision trace."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -89,6 +90,17 @@ class LabelSet:
         return f"LabelSet({list(self._names)!r})"
 
 
+@contextmanager
+def open_text(path):
+    """Open a text input as UTF-8 with newlines untranslated (as `csv`
+    needs); bytes that do not decode raise ValidationError naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def default_label_set() -> LabelSet:
     return LabelSet(DEFAULT_LABELS)
 
@@ -96,7 +108,7 @@ def default_label_set() -> LabelSet:
 def load_label_file(path) -> LabelSet:
     """Read a catalog file: one class name per line, `#` comments allowed."""
     names = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -212,7 +224,7 @@ def parse_config_file(path, label_set: LabelSet) -> RescueConfig:
     """Parse the flat key=value config format (# comments, boost.<CLASS> keys)."""
     fields: dict[str, object] = {}
     overrides: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

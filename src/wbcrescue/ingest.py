@@ -6,11 +6,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ClassCounts, LabelSet, ValidationError, normalize_probs
+from .core import ClassCounts, LabelSet, ValidationError, normalize_probs, open_text
 from .netpbm import read_pnm
 
 
@@ -19,41 +19,48 @@ class SampleNotFoundError(FileNotFoundError):
 
 
 class ProbTable:
-    """Ordered per-image probability rows from one classifier branch."""
+    """Ordered per-image probability rows from one classifier branch, held
+    as one read-only (N, K) matrix with an id -> row index."""
 
-    def __init__(self, label_set: LabelSet, rows: Sequence[tuple[str, np.ndarray]]):
+    def __init__(self, label_set: LabelSet, rows: Iterable[tuple[str, np.ndarray]]):
         self.label_set = label_set
-        self.rows = tuple(rows)
-        by_id: dict[str, np.ndarray] = {}
-        for image_id, probs in self.rows:
-            if image_id in by_id:
+        index: dict[str, int] = {}
+        vectors = []
+        for image_id, probs in rows:
+            if image_id in index:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
             if len(probs) != len(label_set):
                 raise ValidationError(
                     f"{image_id}: probability vector length {len(probs)} "
                     f"does not match catalog size {len(label_set)}"
                 )
-            by_id[image_id] = probs
-        self._by_id = by_id
+            index[image_id] = len(vectors)
+            vectors.append(probs)
+        matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(label_set))
+        matrix.flags.writeable = False
+        self.ids: tuple[str, ...] = tuple(index)
+        self.matrix = matrix
+        self._index = index
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.rows)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(image_id for image_id, _ in self.rows)
+        return zip(self.ids, self.matrix)
 
     def probs_for(self, image_id: str) -> np.ndarray:
         try:
-            return self._by_id[image_id]
+            return self.matrix[self._index[image_id]]
         except KeyError:
             raise ValidationError(f"no probabilities for image_id {image_id!r}") from None
 
+    def aligned_to(self, ids: Sequence[str]) -> np.ndarray:
+        """The (len(ids), K) matrix of this table's rows for `ids`, in that
+        order; every id must be in the table."""
+        return self.matrix[[self._index[image_id] for image_id in ids]]
+
     def __contains__(self, image_id: object) -> bool:
-        return image_id in self._by_id
+        return image_id in self._index
 
 
 def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
@@ -65,7 +72,7 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     expected_header = ["image_id", *label_set.names]
     rows: list[tuple[str, np.ndarray]] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -113,7 +120,7 @@ def write_prob_table(path, table: ProbTable) -> None:
 def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:
     """Parse a `class,count` CSV; every catalog class must appear once."""
     counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["class", "count"]:
@@ -212,13 +219,8 @@ def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:
             raise ValidationError(
                 f"probability tables disagree on image ids (e.g. {missing})"
             )
-    rows = []
-    for image_id, _ in first:
-        stacked = np.stack([table.probs_for(image_id) for table in tables])
-        mean = stacked.mean(axis=0)
-        mean.flags.writeable = False
-        rows.append((image_id, mean))
-    return ProbTable(first.label_set, rows)
+    mean = np.mean([table.aligned_to(first.ids) for table in tables], axis=0)
+    return ProbTable(first.label_set, zip(first.ids, mean))
 
 
 SampleSource = Callable[[str], CellSample]

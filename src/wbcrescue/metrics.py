@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, LabelSet, ValidationError
+from .core import ClassId, LabelSet, ValidationError, open_text
 
 
 def build_confusion(
@@ -92,7 +92,7 @@ def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
     """Read an `image_id,label` CSV, mapping labels through the catalog."""
     rows: list[tuple[str, ClassId]] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["image_id", "label"]:

@@ -11,10 +11,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, open_text
 from .ingest import CellSample
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# Lloyd iteration cap; the exact refinement after the loop makes the split optimal.
+KMEANS_MAX_ITER = 100
 
 
 def luminance(pixels) -> np.ndarray:
@@ -207,9 +209,7 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     return best
 
 
-def kmeans2_luminance(
-    sample: CellSample, max_iter: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     """Partition foreground pixels into nucleus and cytoplasm by luminance.
 
     Runs Lloyd's 2-means on the 1-D luminances with deterministic
@@ -235,7 +235,7 @@ def kmeans2_luminance(
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
 
     assignment = values > (low + high) / 2.0  # False = lower cluster
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         center_low = float(values[~assignment].mean())
         center_high = float(values[assignment].mean())
         updated = values > (center_low + center_high) / 2.0
@@ -405,7 +405,7 @@ def save_gate(path, gate: GaussianGate) -> None:
 def load_gate(path) -> GaussianGate:
     """Read a gate model file and rebuild the cached precision matrix."""
     entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -461,7 +461,7 @@ def write_features_csv(path, rows: Iterable[tuple[str, MorphVector, float]]) -> 
 
 def read_features_csv(path) -> list[tuple[str, MorphVector, float]]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != list(FEATURE_HEADER):

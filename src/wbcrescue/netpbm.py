@@ -8,6 +8,8 @@ Only maxval 255 is supported.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .core import ValidationError
@@ -58,7 +60,9 @@ def read_pnm(path) -> np.ndarray:
             raise ValidationError(f"{path}: unsupported maxval {maxval} (want 255)")
         channels = 1 if magic == b"P5" else 3
         expected = width * height * channels
-        raster = handle.read(expected)
+        # Bounded by the file size: a huge declared raster is truncated, not allocated.
+        available = os.fstat(handle.fileno()).st_size - handle.tell()
+        raster = handle.read(max(0, min(expected, available)))
         if len(raster) < expected:
             raise ValidationError(
                 f"{path}: truncated raster ({len(raster)} of {expected} bytes)"

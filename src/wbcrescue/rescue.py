@@ -9,20 +9,18 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import (
     ClassCounts,
-    ClassId,
     DecisionTrace,
     LabelSet,
     Phase,
     RescueConfig,
     ValidationError,
 )
-from .ingest import CellSample, ProbTable, SampleNotFoundError
+from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
 from .morphology import (
     GaussianGate,
     mahalanobis,
@@ -80,19 +78,14 @@ def compute_boost_factors(
 
 def phase1_candidate(
     p_swin: np.ndarray, boosts: BoostFactors
-) -> tuple[ClassId, ClassId | None]:
-    """Base argmax plus the boosted argmax, if the latter lands on a rare
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base argmax and boosted argmax over the last axis of `p_swin`, shape
+    (..., K). The candidate is -1 where the boosted argmax is not a rare
     class. Ties break to the lowest class index."""
     probs = np.asarray(p_swin, dtype=np.float64)
-    base = int(np.argmax(probs))
-    boosted = probs * boosts.factors
-    top = int(np.argmax(boosted))
-    return base, (top if top in boosts.rare_indices else None)
-
-
-def phase2_verify(p_med: np.ndarray, candidate: ClassId, tau: float) -> bool:
-    """Candidate survives when the verifier branch rates it at least tau."""
-    return float(np.asarray(p_med)[candidate]) >= tau
+    base = np.argmax(probs, axis=-1)
+    top = np.argmax(probs * boosts.factors, axis=-1)
+    return base, np.where(np.isin(top, sorted(boosts.rare_indices)), top, -1)
 
 
 @dataclass(frozen=True)
@@ -142,78 +135,6 @@ def phase3_filter(
     raise ValidationError(f"no shape filter defined for class {candidate_name!r}")
 
 
-def suppress_and_rescue(
-    image_id: str,
-    p_swin: np.ndarray,
-    p_med: np.ndarray,
-    sample: CellSample | None = None,
-    *,
-    boosts: BoostFactors,
-    gate: GaussianGate | None,
-    config: RescueConfig,
-    label_set: LabelSet,
-    sample_loader: Callable[[str], CellSample] | None = None,
-    missing_sample_ok: bool = False,
-) -> DecisionTrace:
-    """Run the full three-phase decision for one image.
-
-    The sample (or a loader for it) is consulted only when a candidate
-    survives semantic verification. A rare base prediction is never
-    displaced: when boosting surfaces a different rare class than an
-    already-rare base label, no candidate is pursued.
-    """
-    if len(p_swin) != len(label_set) or len(p_med) != len(label_set):
-        raise ValidationError(f"{image_id}: probability vectors do not match catalog")
-    base, candidate = phase1_candidate(p_swin, boosts)
-    if candidate is None or (base in boosts.rare_indices and candidate != base):
-        return DecisionTrace(image_id, base, None, Phase.NO_CANDIDATE, None, None, base)
-    if not phase2_verify(p_med, candidate, config.tau):
-        return DecisionTrace(
-            image_id, base, candidate, Phase.FAILED_SEMANTIC, None, None, base
-        )
-    if sample is None:
-        if sample_loader is None:
-            raise ValidationError(
-                f"{image_id}: sample required for morphological filtering"
-            )
-        try:
-            sample = sample_loader(image_id)
-        except SampleNotFoundError as exc:
-            if not missing_sample_ok:
-                raise
-            return DecisionTrace(
-                image_id,
-                base,
-                candidate,
-                Phase.FAILED_MORPHOLOGY,
-                None,
-                None,
-                base,
-                error=str(exc),
-            )
-    result = phase3_filter(label_set.name_at(candidate), sample, gate, config)
-    if result.passed:
-        return DecisionTrace(
-            image_id,
-            base,
-            candidate,
-            Phase.RESCUED,
-            result.spikiness,
-            result.mahalanobis,
-            candidate,
-        )
-    return DecisionTrace(
-        image_id,
-        base,
-        candidate,
-        Phase.FAILED_MORPHOLOGY,
-        result.spikiness,
-        result.mahalanobis,
-        base,
-        error=result.error,
-    )
-
-
 def parallel_map(fn, items, threads: int) -> list:
     """`[fn(item) for item in items]` on up to `threads` worker threads,
     0 meaning one per CPU this process may run on. Results keep input order."""
@@ -233,7 +154,7 @@ def parallel_map(fn, items, threads: int) -> list:
 def rescue_batch(
     swin_table: ProbTable,
     med_table: ProbTable,
-    sample_source: Callable[[str], CellSample],
+    sample_source: SampleSource,
     counts: ClassCounts,
     gate: GaussianGate | None,
     config: RescueConfig,
@@ -243,9 +164,10 @@ def rescue_batch(
 ) -> list[DecisionTrace]:
     """Decide every image in the primary table, in table order.
 
-    Samples are loaded lazily (only for images whose candidate reaches the
-    shape filters). Images may be processed concurrently; output order is
-    the input order regardless.
+    Phases 1 and 2 run on the whole probability matrix at once. Only the
+    rows whose candidate survives verification load their sample and reach
+    the shape filters, possibly on worker threads; output order is the
+    table order regardless.
     """
     label_set = swin_table.label_set
     if med_table.label_set != label_set:
@@ -263,22 +185,49 @@ def rescue_batch(
             + ("..." if len(extra) > 5 else "")
         )
     boosts = compute_boost_factors(label_set, counts, config)
+    base, candidate = phase1_candidate(swin_table.matrix, boosts)
+    # A rare base prediction is never displaced: when boosting surfaces a
+    # different rare class than an already-rare base label, no candidate is
+    # pursued.
+    rare_base = np.isin(base, sorted(boosts.rare_indices))
+    pursued = (candidate >= 0) & ~(rare_base & (candidate != base))
+    p_med = med_table.aligned_to(swin_table.ids)
+    verifier = p_med[np.arange(len(p_med)), np.maximum(candidate, 0)]
+    verified = np.flatnonzero(pursued & (verifier >= config.tau)).tolist()
 
-    def decide(row: tuple[str, np.ndarray]) -> DecisionTrace:
-        image_id, p_swin = row
-        return suppress_and_rescue(
+    def filter_row(row: int) -> DecisionTrace:
+        image_id = swin_table.ids[row]
+        row_base, row_candidate = int(base[row]), int(candidate[row])
+        try:
+            sample = sample_source(image_id)
+        except SampleNotFoundError as exc:
+            if not skip_missing:
+                raise
+            result = Phase3Result(False, error=str(exc))
+        else:
+            result = phase3_filter(label_set.name_at(row_candidate), sample, gate, config)
+        return DecisionTrace(
             image_id,
-            p_swin,
-            med_table.probs_for(image_id),
-            boosts=boosts,
-            gate=gate,
-            config=config,
-            label_set=label_set,
-            sample_loader=sample_source,
-            missing_sample_ok=skip_missing,
+            row_base,
+            row_candidate,
+            Phase.RESCUED if result.passed else Phase.FAILED_MORPHOLOGY,
+            result.spikiness,
+            result.mahalanobis,
+            row_candidate if result.passed else row_base,
+            error=result.error,
         )
 
-    return parallel_map(decide, swin_table.rows, threads)
+    traces = [
+        DecisionTrace(image_id, b, c, Phase.FAILED_SEMANTIC, None, None, b)
+        if p
+        else DecisionTrace(image_id, b, None, Phase.NO_CANDIDATE, None, None, b)
+        for image_id, b, c, p in zip(
+            swin_table.ids, base.tolist(), candidate.tolist(), pursued.tolist()
+        )
+    ]
+    for row, trace in zip(verified, parallel_map(filter_row, verified, threads)):
+        traces[row] = trace
+    return traces
 
 
 def write_predictions_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:

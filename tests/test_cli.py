@@ -1,3 +1,4 @@
+import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -272,6 +273,16 @@ def test_noise_score_prefers_ppm_over_pgm(tmp_path):
     scores = tmp_path / "scores.csv"
     assert run(["noise-score", "--images", str(images), "--out", str(scores)]) == 0
     assert scores.read_text().splitlines()[1:] == [f"x,{noise_score(textured):.6f}"]
+
+
+def test_noise_score_quotes_ids_with_commas(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    write_pnm(images / "a,b.ppm", np.full((8, 8, 3), 90, dtype=np.uint8))
+    scores = tmp_path / "scores.csv"
+    assert run(["noise-score", "--images", str(images), "--out", str(scores)]) == 0
+    with open(scores, newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [["image_id", "residual"], ["a,b", "0.000000"]]
 
 
 def test_inject_noise_is_order_independent_per_image(tmp_path):

@@ -17,6 +17,9 @@ from wbcrescue.core import (
     normalize_probs,
     parse_config_file,
 )
+from wbcrescue.ingest import parse_class_counts, parse_prob_table
+from wbcrescue.metrics import read_label_csv
+from wbcrescue.morphology import load_gate, read_features_csv
 
 
 def test_label_set_identity_construction():
@@ -67,6 +70,29 @@ def test_load_label_file(tmp_path):
     path.write_text("SNE\n# comment\nLY\n\nPC\n", encoding="utf-8")
     labels = load_label_file(path)
     assert labels.names == ("SNE", "LY", "PC")
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        load_label_file,
+        lambda path: parse_config_file(path, default_label_set()),
+        lambda path: parse_prob_table(path, default_label_set()),
+        lambda path: parse_class_counts(path, default_label_set()),
+        lambda path: read_label_csv(path, default_label_set()),
+        read_features_csv,
+        load_gate,
+    ],
+    ids=[
+        "load_label_file", "parse_config_file", "parse_prob_table", "parse_class_counts",
+        "read_label_csv", "read_features_csv", "load_gate",
+    ],
+)
+def test_text_readers_reject_non_utf8(tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"image_id,\xff\n")
+    with pytest.raises(ValidationError, match=r"input\.txt: not UTF-8 text"):
+        reader(path)
 
 
 def test_normalize_accepts_exact_sum():

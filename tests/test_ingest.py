@@ -62,10 +62,17 @@ def test_wrong_maxval_rejected(tmp_path):
 
 
 def test_truncated_raster_rejected(tmp_path):
+    # Declared sizes far beyond the file must fail the same way, without
+    # allocating the declared raster.
     path = tmp_path / "img.pgm"
-    path.write_bytes(b"P5\n2 2\n255\n\x00\x00")
-    with pytest.raises(ValidationError, match="truncated raster"):
-        read_pnm(path)
+    for header, expected in [
+        (b"P5\n2 2\n255\n", 4),
+        (b"P5\n100000 100000\n255\n", 10**10),
+        (b"P6\n4000000000 4000000000\n255\n", 48 * 10**18),
+    ]:
+        path.write_bytes(header + b"\x00\x00")
+        with pytest.raises(ValidationError, match=rf"truncated raster \(2 of {expected} bytes\)"):
+            read_pnm(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):

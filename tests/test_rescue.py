@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wbcrescue.core import (
     ClassCounts,
+    DecisionTrace,
     Phase,
     RescueConfig,
     ValidationError,
@@ -18,10 +19,8 @@ from wbcrescue.rescue import (
     BoostFactors,
     compute_boost_factors,
     phase1_candidate,
-    phase2_verify,
     phase3_filter,
     rescue_batch,
-    suppress_and_rescue,
     write_predictions_csv,
     write_trace_csv,
 )
@@ -122,7 +121,7 @@ def test_phase1_no_candidate_when_boost_insufficient():
     boosts = compute_boost_factors(LABELS, _counts(), RescueConfig())
     base, candidate = phase1_candidate(_probs({SNE: 0.9, PLY: 0.05}), boosts)
     assert base == SNE
-    assert candidate is None
+    assert candidate == -1
     assert 0.05 * boosts.factors[PLY] < 0.9
 
 
@@ -136,16 +135,23 @@ def test_phase1_surfaces_boosted_rare_class():
 def test_phase1_identity_boosts_mean_no_candidate():
     boosts = BoostFactors(np.ones(K), frozenset({PLY, PC}))
     base, candidate = phase1_candidate(_probs({LY: 0.6, PLY: 0.2}), boosts)
-    assert base == LY and candidate is None
+    assert base == LY and candidate == -1
     base, candidate = phase1_candidate(_probs({PLY: 0.6, LY: 0.2}), boosts)
     assert base == PLY and candidate == PLY
 
 
-def test_phase2_threshold_semantics():
-    probs = _probs({PLY: 0.6})
-    assert phase2_verify(probs, PLY, 0.5) is True
-    assert phase2_verify(_probs({PLY: 0.2}), PLY, 0.5) is False
-    assert phase2_verify(_probs({PLY: 0.5}), PLY, 0.5) is True  # boundary passes
+def test_phase2_threshold_semantics(gate):
+    ids = ("above", "below", "boundary")
+    swin, med = _tables(
+        [(image_id, {LY: 0.5, PLY: 0.12}) for image_id in ids],
+        [("above", {PLY: 0.6}), ("below", {PLY: 0.2}), ("boundary", {PLY: 0.5})],
+    )
+    source = CountingSource({image_id: _spiky_sample(image_id) for image_id in ids})
+    traces = rescue_batch(swin, med, source, _counts(), gate, RescueConfig(tau=0.5))
+    assert [trace.phase_reached for trace in traces] == [
+        Phase.RESCUED, Phase.FAILED_SEMANTIC, Phase.RESCUED,  # boundary passes
+    ]
+    assert source.loads == 2
 
 
 def test_phase3_spiky_candidate(gate):
@@ -185,12 +191,67 @@ def test_phase3_unknown_class_is_config_error(gate):
 # ---------------------------------------------------------- composition
 
 
+class CountingSource:
+    def __init__(self, samples):
+        self.samples = samples
+        self.loads = 0
+
+    def __call__(self, image_id):
+        self.loads += 1
+        try:
+            return self.samples[image_id]
+        except KeyError:
+            raise SampleNotFoundError(f"no sample {image_id!r}") from None
+
+
+def _tables(rows_swin, rows_med):
+    swin = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_swin])
+    med = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_med])
+    return swin, med
+
+
 def _decide(p_swin, p_med, sample=None, config=None, gate_model=None, counts=None):
-    config = config or RescueConfig()
-    boosts = compute_boost_factors(LABELS, counts or _counts(), config)
-    return suppress_and_rescue(
-        "img", p_swin, p_med, sample,
-        boosts=boosts, gate=gate_model, config=config, label_set=LABELS,
+    source = CountingSource({} if sample is None else {"img": sample})
+    [trace] = rescue_batch(
+        ProbTable(LABELS, [("img", p_swin)]),
+        ProbTable(LABELS, [("img", p_med)]),
+        source,
+        counts or _counts(),
+        gate_model,
+        config or RescueConfig(),
+    )
+    return trace
+
+
+def _oracle(image_id, p_swin, p_med, source, boosts, gate_model, config, skip_missing=False):
+    """Straight-line decision for one row, the reference for `rescue_batch`."""
+    base = int(np.argmax(p_swin))
+    top = int(np.argmax(p_swin * boosts.factors))
+    candidate = top if top in boosts.rare_indices else None
+    if candidate is None or (base in boosts.rare_indices and candidate != base):
+        return DecisionTrace(image_id, base, None, Phase.NO_CANDIDATE, None, None, base)
+    if not float(p_med[candidate]) >= config.tau:
+        return DecisionTrace(
+            image_id, base, candidate, Phase.FAILED_SEMANTIC, None, None, base
+        )
+    try:
+        sample = source(image_id)
+    except SampleNotFoundError as exc:
+        if not skip_missing:
+            raise
+        return DecisionTrace(
+            image_id, base, candidate, Phase.FAILED_MORPHOLOGY, None, None, base,
+            error=str(exc),
+        )
+    result = phase3_filter(LABELS.name_at(candidate), sample, gate_model, config)
+    if result.passed:
+        return DecisionTrace(
+            image_id, base, candidate, Phase.RESCUED,
+            result.spikiness, result.mahalanobis, candidate,
+        )
+    return DecisionTrace(
+        image_id, base, candidate, Phase.FAILED_MORPHOLOGY,
+        result.spikiness, result.mahalanobis, base, error=result.error,
     )
 
 
@@ -238,11 +299,6 @@ def test_morphology_rejection_keeps_base(gate):
     assert trace.spikiness is not None
 
 
-def test_missing_sample_at_phase3_is_hard_error():
-    with pytest.raises(ValidationError, match="sample required for morphological filtering"):
-        _decide(_probs({LY: 0.5, PLY: 0.12}), _probs({PLY: 0.9}))
-
-
 def test_rare_base_with_other_rare_candidate_stays_fixed(gate):
     # PC base, but the bigger PLY boost pushes PLY past it: no candidate is
     # pursued, the rare base prediction stands.
@@ -250,10 +306,7 @@ def test_rare_base_with_other_rare_candidate_stays_fixed(gate):
     boosts = compute_boost_factors(LABELS, _counts(), config)
     p_swin = _probs({PC: 0.35, PLY: 0.30})
     assert int(np.argmax(p_swin * boosts.factors)) == PLY
-    trace = suppress_and_rescue(
-        "img", p_swin, _probs({PLY: 0.9}), _spiky_sample(),
-        boosts=boosts, gate=gate, config=config, label_set=LABELS,
-    )
+    trace = _decide(p_swin, _probs({PLY: 0.9}), _spiky_sample(), config, gate)
     assert trace.phase_reached is Phase.NO_CANDIDATE
     assert trace.final_label == PC
 
@@ -270,25 +323,6 @@ def test_rare_base_confirming_itself_proceeds(gate):
 
 
 # --------------------------------------------------------------- batch
-
-
-class CountingSource:
-    def __init__(self, samples):
-        self.samples = samples
-        self.loads = 0
-
-    def __call__(self, image_id):
-        self.loads += 1
-        try:
-            return self.samples[image_id]
-        except KeyError:
-            raise SampleNotFoundError(f"no sample {image_id!r}") from None
-
-
-def _tables(rows_swin, rows_med):
-    swin = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_swin])
-    med = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_med])
-    return swin, med
 
 
 def test_empty_batch(gate):
@@ -361,15 +395,12 @@ def test_batch_equals_sequential_application(gate):
     swin, med, samples = _random_batch(33)
     config = RescueConfig(tau=0.05, tau_s=0.15, tau_m=3.0)
     boosts = compute_boost_factors(LABELS, _counts(), config)
-    batch = rescue_batch(
-        swin, med, CountingSource(samples), _counts(), gate, config, threads=4
-    )
-    for trace, (image_id, p_swin) in zip(batch, swin):
-        expected = suppress_and_rescue(
-            image_id, p_swin, med.probs_for(image_id), samples.get(image_id),
-            boosts=boosts, gate=gate, config=config, label_set=LABELS,
-        )
-        assert trace == expected
+    source = CountingSource(samples)
+    batch = rescue_batch(swin, med, source, _counts(), gate, config, threads=4)
+    assert batch == [
+        _oracle(image_id, p_swin, med.probs_for(image_id), source, boosts, gate, config)
+        for image_id, p_swin in swin
+    ]
 
 
 def test_batch_is_deterministic_across_threads(gate):
@@ -382,6 +413,66 @@ def test_batch_is_deterministic_across_threads(gate):
         for threads in (1, 8)
     ]
     assert runs[0] == runs[1]
+
+
+# Samples the kernel test deals out: spiky, round, off-centre nucleus,
+# unmeasurable (flat luminance), and None for a missing sample.
+_POOL = {
+    "spiky": _spiky_sample(),
+    "round": _round_sample(),
+    "shifted": eccentric_cell(nucleus_shift=3.0),
+    "flat": gray_sample(np.full((8, 8), 90, dtype=np.uint8), disc_mask(8, 3.0)),
+    "missing": None,
+}
+
+
+@st.composite
+def _kernel_cases(draw):
+    # Small integer weights make exact ties frequent, both between classes
+    # and, with the boosts and taus below, after boosting and at tau.
+    weights = st.lists(
+        st.integers(min_value=0, max_value=6), min_size=K, max_size=K
+    ).map(lambda w: w if any(w) else [1] * K)
+    rows = []
+    for i in range(draw(st.integers(min_value=0, max_value=30))):
+        p_swin, p_med = (np.array(draw(weights), dtype=np.float64) for _ in range(2))
+        rows.append((f"img{i}", p_swin / p_swin.sum(), p_med / p_med.sum(),
+                     draw(st.sampled_from(sorted(_POOL)))))
+    boost = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 10.0))
+    config = RescueConfig(
+        boost_overrides={"PLY": draw(boost), "PC": draw(boost)},
+        tau=draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))),
+    )
+    return rows, config, draw(st.booleans())
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except SampleNotFoundError as exc:
+        return f"raised: {exc}"
+
+
+@given(_kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_batch_kernel_matches_per_row_oracle(gate, case):
+    rows, config, skip_missing = case
+    counts = ClassCounts(tuple([100] * K))
+    boosts = compute_boost_factors(LABELS, counts, config)
+    source = CountingSource(
+        {image_id: _POOL[key] for image_id, _, _, key in rows if _POOL[key] is not None}
+    )
+    swin = ProbTable(LABELS, [(image_id, p) for image_id, p, _, _ in rows])
+    med = ProbTable(LABELS, [(image_id, p) for image_id, _, p, _ in rows])
+    expected = _outcome(lambda: [
+        _oracle(image_id, p_swin, p_med, source, boosts, gate, config, skip_missing)
+        for image_id, p_swin, p_med, _ in rows
+    ])
+    for threads in (1, 4):
+        assert _outcome(lambda: rescue_batch(
+            swin, med, source, counts, gate, config,
+            skip_missing=skip_missing, threads=threads,
+        )) == expected
 
 
 # ------------------------------------------------------------ invariants
@@ -407,7 +498,7 @@ def test_phase1_closure_and_rare_fixed_point(probs, boost_ply, boost_pc):
     factors[PLY], factors[PC] = boost_ply, boost_pc
     boosts = BoostFactors(factors, frozenset({PLY, PC}))
     base, candidate = phase1_candidate(probs, boosts)
-    assert candidate is None or candidate in (PLY, PC)
+    assert candidate == -1 or candidate in (PLY, PC)
     assert base == int(np.argmax(probs))
 
 
