@@ -9,7 +9,6 @@ place, so failures never leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -25,6 +24,7 @@ from .core import (
     default_label_set,
     load_label_file,
     parse_config_file,
+    write_csv,
 )
 from .ingest import (
     DirectorySampleSource,
@@ -208,11 +208,7 @@ def _cmd_noise_score(args) -> int:
 
     rows = parallel_map(score, ids, args.threads)
     with _atomic(args.out) as tmp:
-        with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["image_id", "residual"])
-            for image_id, residual in rows:
-                writer.writerow([image_id, f"{residual:.6f}"])
+        write_csv(tmp, ["image_id", "residual"], ((i, f"{r:.6f}") for i, r in rows))
     return 0
 
 

@@ -1,13 +1,16 @@
 """Shared domain types: label catalog, probability validation, run
-configuration, and the per-image decision trace."""
+configuration, and the per-image decision trace; plus the text readers and
+the CSV writer every input and output goes through."""
 
 from __future__ import annotations
 
+import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,7 +94,7 @@ class LabelSet:
 
 
 @contextmanager
-def open_text(path):
+def _open_text(path):
     """Open a text input as UTF-8 with newlines untranslated (as `csv`
     needs); bytes that do not decode raise ValidationError naming the file."""
     with open(path, newline="", encoding="utf-8") as handle:
@@ -101,18 +104,71 @@ def open_text(path):
             raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield `(lineno, line)` for each stripped line, `#` comments and blank
+    lines removed."""
+    with _open_text(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
+def read_key_values(path) -> Iterator[tuple[int, str, str]]:
+    """Yield `(lineno, key, value)` from `key = value` lines; a line without
+    `=` or a key set twice raises ValidationError naming the line."""
+    seen: dict[str, int] = {}
+    for lineno, line in read_lines(path):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key = key.strip()
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        yield lineno, key, value.strip()
+
+
+def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, row)` for each non-blank row after the required header,
+    where `line` is the physical line the row ends on."""
+    header = list(header)
+    with _open_text(path) as handle:
+        reader = csv.reader(handle)
+        first = next(reader, [])
+        if first != header:
+            raise ValidationError(
+                f"{path}: header mismatch: expected {','.join(header)!r}, "
+                f"got {','.join(first)!r}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield reader.line_num, row
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    r"""Write UTF-8 CSV with `\n` row ends. The writer runs with `\r\n` ends,
+    cut back per row, because before Python 3.13 `csv` quotes only the
+    terminator's characters and would leave a bare `\r` in a field unquoted."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        sink = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
+        writer = csv.writer(sink, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def default_label_set() -> LabelSet:
     return LabelSet(DEFAULT_LABELS)
 
 
 def load_label_file(path) -> LabelSet:
     """Read a catalog file: one class name per line, `#` comments allowed."""
-    names = []
-    with open_text(path) as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                names.append(line)
+    names = [line for _, line in read_lines(path)]
     if not names:
         raise ValidationError(f"{path}: no class names found")
     return LabelSet(names)
@@ -224,30 +280,21 @@ def parse_config_file(path, label_set: LabelSet) -> RescueConfig:
     """Parse the flat key=value config format (# comments, boost.<CLASS> keys)."""
     fields: dict[str, object] = {}
     overrides: dict[str, float] = {}
-    with open_text(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key = key.strip()
-            value = value.strip()
-            if key.startswith("boost."):
-                class_name = key[len("boost."):]
-                if class_name not in label_set:
-                    raise ValidationError(
-                        f"{path}:{lineno}: boost override for unknown class {class_name!r}"
-                    )
-                overrides[class_name] = _parse_float(path, lineno, key, value)
-            elif key == "rare_classes":
-                names = [part.strip() for part in value.split(",") if part.strip()]
-                fields["rare_classes"] = frozenset(names)
-            elif key in _CONFIG_KEYS:
-                fields[key] = _parse_float(path, lineno, key, value)
-            else:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+    for lineno, key, value in read_key_values(path):
+        if key.startswith("boost."):
+            class_name = key[len("boost."):]
+            if class_name not in label_set:
+                raise ValidationError(
+                    f"{path}:{lineno}: boost override for unknown class {class_name!r}"
+                )
+            overrides[class_name] = _parse_float(path, lineno, key, value)
+        elif key == "rare_classes":
+            names = [part.strip() for part in value.split(",") if part.strip()]
+            fields["rare_classes"] = frozenset(names)
+        elif key in _CONFIG_KEYS:
+            fields[key] = _parse_float(path, lineno, key, value)
+        else:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
     config = RescueConfig(boost_overrides=overrides, **fields)
     config.validate_against(label_set)
     return config

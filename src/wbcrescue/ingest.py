@@ -3,14 +3,13 @@ plus arithmetic-mean fusion of multiple probability tables."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ClassCounts, LabelSet, ValidationError, normalize_probs, open_text
+from .core import ClassCounts, LabelSet, ValidationError, normalize_probs, read_csv, write_csv
 from .netpbm import read_pnm
 
 
@@ -69,83 +68,53 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     Rows are validated and renormalized to sum exactly 1; row order is
     preserved. Errors name the file, line, and offending column.
     """
-    expected_header = ["image_id", *label_set.names]
     rows: list[tuple[str, np.ndarray]] = []
     seen: set[str] = set()
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty probability file")
-        if header != expected_header:
-            raise ValidationError(
-                f"{path}: header mismatch: expected {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
+    for lineno, row in read_csv(path, ["image_id", *label_set.names]):
+        image_id = row[0]
+        if not image_id:
+            raise ValidationError(f"{path}:{lineno}: empty image_id")
+        if image_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        values = np.empty(len(label_set), dtype=np.float64)
+        for column, cell in enumerate(row[1:]):
+            try:
+                values[column] = float(cell)
+            except ValueError:
                 raise ValidationError(
-                    f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}"
-                )
-            image_id = row[0]
-            if not image_id:
-                raise ValidationError(f"{path}:{lineno}: empty image_id")
-            if image_id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            values = np.empty(len(label_set), dtype=np.float64)
-            for column, cell in enumerate(row[1:]):
-                try:
-                    values[column] = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: column {label_set.name_at(column)}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-            probs = normalize_probs(values, where=f"{path}:{lineno}")
-            rows.append((image_id, probs))
+                    f"{path}:{lineno}: column {label_set.name_at(column)}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+        rows.append((image_id, normalize_probs(values, where=f"{path}:{lineno}")))
     return ProbTable(label_set, rows)
 
 
 def write_prob_table(path, table: ProbTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["image_id", *table.label_set.names])
-        for image_id, probs in table:
-            writer.writerow([image_id, *(f"{value:.12g}" for value in probs)])
+    write_csv(
+        path,
+        ["image_id", *table.label_set.names],
+        ([image_id, *(f"{value:.12g}" for value in probs)] for image_id, probs in table),
+    )
 
 
 def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:
     """Parse a `class,count` CSV; every catalog class must appear once."""
     counts: dict[str, int] = {}
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["class", "count"]:
-            raise ValidationError(f"{path}: expected header 'class,count'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns")
-            name, cell = row
-            if name not in label_set:
-                raise ValidationError(f"{path}:{lineno}: unknown class name {name!r}")
-            if name in counts:
-                raise ValidationError(f"{path}:{lineno}: duplicate count for class {name!r}")
-            try:
-                value = int(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: non-integer count {cell!r} for class {name!r}"
-                ) from None
-            if value < 0:
-                raise ValidationError(
-                    f"{path}:{lineno}: negative count {value} for class {name!r}"
-                )
-            counts[name] = value
+    for lineno, (name, cell) in read_csv(path, ["class", "count"]):
+        if name not in label_set:
+            raise ValidationError(f"{path}:{lineno}: unknown class name {name!r}")
+        if name in counts:
+            raise ValidationError(f"{path}:{lineno}: duplicate count for class {name!r}")
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{lineno}: non-integer count {cell!r} for class {name!r}"
+            ) from None
+        if value < 0:
+            raise ValidationError(f"{path}:{lineno}: negative count {value} for class {name!r}")
+        counts[name] = value
     for name in label_set:
         if name not in counts:
             raise ValidationError(f"{path}: missing count for class {name}")

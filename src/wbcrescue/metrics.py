@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, LabelSet, ValidationError, open_text
+from .core import ClassId, LabelSet, ValidationError, read_csv, write_csv
 
 
 def build_confusion(
@@ -92,23 +91,13 @@ def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
     """Read an `image_id,label` CSV, mapping labels through the catalog."""
     rows: list[tuple[str, ClassId]] = []
     seen: set[str] = set()
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["image_id", "label"]:
-            raise ValidationError(f"{path}: expected header 'image_id,label'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns")
-            image_id, name = row
-            if image_id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            if name not in label_set:
-                raise ValidationError(f"{path}:{lineno}: unknown label {name!r}")
-            rows.append((image_id, label_set.index_of(name)))
+    for lineno, (image_id, name) in read_csv(path, ["image_id", "label"]):
+        if image_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        if name not in label_set:
+            raise ValidationError(f"{path}:{lineno}: unknown label {name!r}")
+        rows.append((image_id, label_set.index_of(name)))
     if not rows:
         raise ValidationError(f"{path}: no rows")
     return rows
@@ -158,8 +147,8 @@ def format_report(report: MetricsReport, label_set: LabelSet) -> str:
 
 
 def write_confusion_csv(path, confusion: np.ndarray, label_set: LabelSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["true\\pred", *label_set.names])
-        for class_id, name in enumerate(label_set):
-            writer.writerow([name, *confusion[class_id].tolist()])
+    write_csv(
+        path,
+        ["true\\pred", *label_set.names],
+        ([name, *confusion[class_id].tolist()] for class_id, name in enumerate(label_set)),
+    )

@@ -4,14 +4,13 @@ cells."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, open_text
+from .core import ValidationError, read_csv, read_key_values, write_csv
 from .ingest import CellSample
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -391,6 +390,8 @@ def calibrate_spikiness_threshold(reference_scores, k: float = 2.0) -> float:
         raise ValidationError("need at least 2 reference scores to calibrate")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("non-finite reference score")
+    if not math.isfinite(k):
+        raise ValidationError(f"k must be finite, got {k}")
     return float(scores.mean() + k * scores.std())
 
 
@@ -404,16 +405,7 @@ def save_gate(path, gate: GaussianGate) -> None:
 
 def load_gate(path) -> GaussianGate:
     """Read a gate model file and rebuild the cached precision matrix."""
-    entries: dict[str, list[str]] = {}
-    with open_text(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = values'")
-            entries[key.strip()] = value.split()
+    entries = {key: value.split() for _, key, value in read_key_values(path)}
     for key, length in (("mean", 3), ("cov", 9), ("ridge", 1), ("n", 1)):
         if key not in entries:
             raise ValidationError(f"{path}: missing {key!r} line")
@@ -444,38 +436,22 @@ FEATURE_HEADER = ("image_id", "nc_ratio", "staining", "centroid_offset", "spikin
 
 
 def write_features_csv(path, rows: Iterable[tuple[str, MorphVector, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FEATURE_HEADER)
-        for image_id, vector, spike in rows:
-            writer.writerow(
-                [
-                    image_id,
-                    f"{vector.nc_ratio:.12g}",
-                    f"{vector.staining:.12g}",
-                    f"{vector.centroid_offset:.12g}",
-                    f"{spike:.12g}",
-                ]
-            )
+    write_csv(
+        path,
+        FEATURE_HEADER,
+        (
+            [image_id, *(f"{x:.12g}" for x in (v.nc_ratio, v.staining, v.centroid_offset, spike))]
+            for image_id, v, spike in rows
+        ),
+    )
 
 
 def read_features_csv(path) -> list[tuple[str, MorphVector, float]]:
     rows = []
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(FEATURE_HEADER):
-            raise ValidationError(
-                f"{path}: expected header {','.join(FEATURE_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FEATURE_HEADER):
-                raise ValidationError(f"{path}:{lineno}: expected {len(FEATURE_HEADER)} columns")
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric feature value") from None
-            rows.append((row[0], MorphVector(values[0], values[1], values[2]), values[3]))
+    for lineno, row in read_csv(path, FEATURE_HEADER):
+        try:
+            values = [float(cell) for cell in row[1:]]
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric feature value") from None
+        rows.append((row[0], MorphVector(values[0], values[1], values[2]), values[3]))
     return rows

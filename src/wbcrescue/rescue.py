@@ -4,7 +4,6 @@ the final label swap."""
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +18,7 @@ from .core import (
     Phase,
     RescueConfig,
     ValidationError,
+    write_csv,
 )
 from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
 from .morphology import (
@@ -231,29 +231,28 @@ def rescue_batch(
 
 
 def write_predictions_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["image_id", "label"])
-        for trace in traces:
-            writer.writerow([trace.image_id, label_set.name_at(trace.final_label)])
+    write_csv(
+        path,
+        ["image_id", "label"],
+        ([trace.image_id, label_set.name_at(trace.final_label)] for trace in traces),
+    )
 
 
 def write_trace_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
     """Audit CSV; fields the pipeline never evaluated stay empty."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["image_id", "base", "candidate", "phase", "spikiness", "mahalanobis", "final"]
-        )
-        for trace in traces:
-            writer.writerow(
-                [
-                    trace.image_id,
-                    label_set.name_at(trace.base_label),
-                    "" if trace.candidate is None else label_set.name_at(trace.candidate),
-                    trace.phase_reached.value,
-                    "" if trace.spikiness is None else f"{trace.spikiness:.9g}",
-                    "" if trace.mahalanobis is None else f"{trace.mahalanobis:.9g}",
-                    label_set.name_at(trace.final_label),
-                ]
-            )
+    write_csv(
+        path,
+        ["image_id", "base", "candidate", "phase", "spikiness", "mahalanobis", "final"],
+        (
+            [
+                trace.image_id,
+                label_set.name_at(trace.base_label),
+                "" if trace.candidate is None else label_set.name_at(trace.candidate),
+                trace.phase_reached.value,
+                "" if trace.spikiness is None else f"{trace.spikiness:.9g}",
+                "" if trace.mahalanobis is None else f"{trace.mahalanobis:.9g}",
+                label_set.name_at(trace.final_label),
+            ]
+            for trace in traces
+        ),
+    )

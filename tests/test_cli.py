@@ -235,6 +235,23 @@ def test_features_fit_and_calibrate(corpus, tmp_path, capsys):
     assert value == pytest.approx(mean + 2 * std, rel=1e-6)
 
 
+def test_calibrate_spikiness_rejects_nan_k(tmp_path, capsys):
+    features = write_csv(
+        tmp_path / "features.csv",
+        ["image_id", "nc_ratio", "staining", "centroid_offset", "spikiness"],
+        [["a", "0.5", "0.6", "0.1", "0.02"], ["b", "1.2", "0.3", "0.4", "0.33"]],
+    )
+    tau_out = tmp_path / "tau_s.txt"
+    code = run(
+        ["calibrate-spikiness", "--features", str(features), "--k", "nan", "--out", str(tau_out)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "k must be finite" in captured.err
+    assert captured.out == ""
+    assert not tau_out.exists()
+
+
 def test_noise_score_and_inject(tmp_path):
     images = tmp_path / "images"
     images.mkdir()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,8 @@ from wbcrescue.core import (
     load_label_file,
     normalize_probs,
     parse_config_file,
+    read_csv,
+    write_csv,
 )
 from wbcrescue.ingest import parse_class_counts, parse_prob_table
 from wbcrescue.metrics import read_label_csv
@@ -93,6 +96,30 @@ def test_text_readers_reject_non_utf8(tmp_path, reader):
     path.write_bytes(b"image_id,\xff\n")
     with pytest.raises(ValidationError, match=r"input\.txt: not UTF-8 text"):
         reader(path)
+
+
+_CELLS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\n", "\r", " ", "#", "é", "白", "🩸"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+)
+
+
+@given(rows=st.lists(st.lists(_CELLS, min_size=3, max_size=3), max_size=6))
+def test_csv_round_trip_keeps_rows_and_physical_lines(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(path, ["image_id", "label", "value"], rows)
+    read = list(read_csv(path, ["image_id", "label", "value"]))
+    assert [row for _, row in read] == rows
+    # Record i ends after the header line, i + 1 row ends and every line
+    # break quoted inside the fields of records 0..i.
+    breaks = [sum(len(re.findall("\r\n|\r|\n", cell)) for cell in row) for row in rows]
+    expected = [1 + (i + 1) + sum(breaks[: i + 1]) for i in range(len(rows))]
+    assert [line for line, _ in read] == expected
+    text = path.read_bytes().decode("utf-8")
+    assert len(re.findall("\r\n|\r|\n", text)) == (expected[-1] if rows else 1)
 
 
 def test_normalize_accepts_exact_sum():
@@ -209,6 +236,13 @@ def test_config_file_rejects_bad_number(tmp_path, labels13):
     path = tmp_path / "rescue.conf"
     path.write_text("tau = zero\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="not a number"):
+        parse_config_file(path, labels13)
+
+
+def test_config_file_rejects_repeated_key(tmp_path, labels13):
+    path = tmp_path / "rescue.conf"
+    path.write_text("tau = 0.9\n# later\ntau = 0.1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"rescue\.conf:3: 'tau' already set on line 1"):
         parse_config_file(path, labels13)
 
 

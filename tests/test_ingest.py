@@ -174,6 +174,11 @@ def test_parse_prob_table_names_bad_cell(tmp_path, labels2):
     path = write_csv(tmp_path / "p.csv", ["image_id", "SNE", "LY"], [["img1", "0.7", "x"]])
     with pytest.raises(ValidationError, match=r"p\.csv:2: column LY: non-numeric"):
         parse_prob_table(path, labels2)
+    # A quoted id spanning lines 2-3 puts the bad row on physical line 4.
+    multiline = tmp_path / "q.csv"
+    multiline.write_text('image_id,SNE,LY\n"a\nb",0.7,0.3\nimg1,0.7,x\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"q\.csv:4: column LY: non-numeric"):
+        parse_prob_table(multiline, labels2)
 
 
 def test_parse_prob_table_rejects_duplicate_id(tmp_path, labels2):

@@ -418,6 +418,11 @@ def test_calibration_needs_two_scores():
         calibrate_spikiness_threshold([0.5])
 
 
+def test_calibration_rejects_non_finite_k():
+    with pytest.raises(ValidationError, match="k must be finite"):
+        calibrate_spikiness_threshold([0.2, 0.4], k=math.inf)
+
+
 # ----------------------------------------------------------- gate file
 
 
@@ -430,6 +435,18 @@ def test_gate_file_round_trip(tmp_path):
     assert np.allclose(loaded.covariance, gate.covariance, atol=0)
     assert np.allclose(loaded.precision, gate.precision, atol=1e-12)
     assert loaded.sample_count == gate.sample_count
+
+
+def test_gate_file_accepts_comments_and_rejects_repeated_key(tmp_path):
+    gate = fit_gaussian_gate(np.random.default_rng(4).normal(size=(30, 3)))
+    path = tmp_path / "pc.gate"
+    save_gate(path, gate)
+    text = path.read_text(encoding="utf-8")
+    path.write_text("# fitted gate\n" + text.replace("\n", "  # note\n", 1), encoding="utf-8")
+    assert np.array_equal(load_gate(path).mean, gate.mean)
+    path.write_text(text + "mean = 0 0 0\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"pc\.gate:5: 'mean' already set on line 1"):
+        load_gate(path)
 
 
 def test_gate_file_rejects_garbage(tmp_path):
