@@ -14,8 +14,6 @@ from .core import ValidationError, read_csv, read_key_values, write_csv
 from .ingest import CellSample
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-# Lloyd iteration cap; the exact refinement after the loop makes the split optimal.
-KMEANS_MAX_ITER = 100
 
 
 def luminance(pixels) -> np.ndarray:
@@ -178,9 +176,9 @@ def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:
     return cost
 
 
-# Above this many foreground pixels the split refinement switches from
-# exact fsum evaluation to prefix sums, trading last-ulp exactness for
-# linear cost.
+# Up to this many foreground pixels every split is costed exactly with fsum,
+# so the chosen split's cost equals the exhaustive minimum even on tied
+# inputs; above it, prefix sums cost all splits at once, within a few ulps.
 _EXACT_SPLIT_LIMIT = 64
 
 
@@ -191,32 +189,26 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     the smallest index.
     """
     n = len(sorted_values)
-    candidates = [i for i in range(1, n) if sorted_values[i - 1] < sorted_values[i]]
+    candidates = np.flatnonzero(sorted_values[1:] > sorted_values[:-1]) + 1
     if n <= _EXACT_SPLIT_LIMIT:
         values = sorted_values.tolist()
-        return min(candidates, key=lambda i: (_split_cost_exact(values, i), i))
+        return min(candidates.tolist(), key=lambda i: (_split_cost_exact(values, i), i))
     prefix = np.cumsum(sorted_values)
     prefix_sq = np.cumsum(sorted_values * sorted_values)
-    total, total_sq = prefix[-1], prefix_sq[-1]
-    best, best_cost = candidates[0], math.inf
-    for i in candidates:
-        left = prefix_sq[i - 1] - prefix[i - 1] ** 2 / i
-        right = (total_sq - prefix_sq[i - 1]) - (total - prefix[i - 1]) ** 2 / (n - i)
-        cost = left + right
-        if cost < best_cost:
-            best, best_cost = i, cost
-    return best
+    left, left_sq = prefix[candidates - 1], prefix_sq[candidates - 1]
+    right = prefix[-1] - left
+    costs = (left_sq - left * left / candidates) + (
+        (prefix_sq[-1] - left_sq) - right * right / (n - candidates)
+    )
+    return int(candidates[np.argmin(costs)])
 
 
 def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     """Partition foreground pixels into nucleus and cytoplasm by luminance.
 
-    Runs Lloyd's 2-means on the 1-D luminances with deterministic
-    initialization (centroids at the observed min and max, assignment ties
-    to the lower centroid), then refines the converged split to the exact
-    optimal threshold: Lloyd's iteration can settle on a locally stable
-    but globally suboptimal threshold, and the optimal 1-D 2-means
-    partition is always a threshold.
+    The optimal 1-D 2-means partition is always a threshold, so this takes
+    the threshold between distinct luminances with the least within-cluster
+    sum of squares; when two thresholds cost the same, the lower one wins.
 
     Returns (nucleus_mask, cytoplasm_mask); the darker cluster is the
     nucleus and the two masks partition the foreground.
@@ -226,34 +218,11 @@ def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"{sample.image_id}: empty mask")
     values = luminance(sample.pixels)[foreground]
     if values.size < 2:
-        raise ValidationError(
-            f"{sample.image_id}: need at least 2 foreground pixels to cluster"
-        )
-    low, high = float(values.min()), float(values.max())
-    if low == high:
+        raise ValidationError(f"{sample.image_id}: need at least 2 foreground pixels to cluster")
+    sorted_values = np.sort(values)
+    if sorted_values[0] == sorted_values[-1]:
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
-
-    assignment = values > (low + high) / 2.0  # False = lower cluster
-    for _ in range(KMEANS_MAX_ITER):
-        center_low = float(values[~assignment].mean())
-        center_high = float(values[assignment].mean())
-        updated = values > (center_low + center_high) / 2.0
-        if np.array_equal(updated, assignment):
-            break
-        assignment = updated
-
-    sorted_values = np.sort(values, kind="stable")
-    lloyd_split = int(np.count_nonzero(~assignment))
-    best_split = _best_threshold_split(sorted_values)
-    split = lloyd_split
-    if best_split != lloyd_split:
-        values_list = sorted_values.tolist()
-        if _split_cost_exact(values_list, best_split) < _split_cost_exact(
-            values_list, lloyd_split
-        ):
-            split = best_split
-
-    cut = sorted_values[split - 1]
+    cut = sorted_values[_best_threshold_split(sorted_values) - 1]
     nucleus_mask = np.zeros_like(foreground)
     nucleus_mask[foreground] = values <= cut
     return nucleus_mask, foreground & ~nucleus_mask
@@ -301,7 +270,7 @@ def _det3(m: np.ndarray) -> float:
 
 
 def _invert_spd_3x3(matrix: np.ndarray, where: str) -> np.ndarray:
-    """Closed-form 3x3 inverse, guarded by Sylvester's criterion."""
+    """Closed-form 3x3 inverse, guarded by Sylvester's criterion and a finite result."""
     minor1 = float(matrix[0, 0])
     minor2 = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     minor3 = _det3(matrix)
@@ -327,7 +296,11 @@ def _invert_spd_3x3(matrix: np.ndarray, where: str) -> np.ndarray:
             ],
         ]
     )
-    return cofactors / minor3
+    with np.errstate(over="ignore"):
+        inverse = cofactors / minor3
+    if not np.all(np.isfinite(inverse)):
+        raise ValidationError(f"{where}: degenerate covariance")
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -365,10 +338,23 @@ def fit_gaussian_gate(features, ridge_scale: float = 1e-6) -> GaussianGate:
     covariance = centered.T @ centered / (n - 1)
     covariance = (covariance + covariance.T) / 2.0
     ridge = ridge_scale * float(np.trace(covariance)) / 3.0
-    precision = _invert_spd_3x3(covariance + ridge * np.eye(3), "gate fit")
+    return _build_gate(mean, covariance, ridge, n, "gate fit")
+
+
+def _build_gate(mean, covariance, ridge: float, count: int, where: str) -> GaussianGate:
+    """Check the gate parameters, invert covariance + ridge * I, freeze it all."""
+    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(covariance)):
+        raise ValidationError(f"{where}: non-finite gate parameters")
+    if np.abs(covariance - covariance.T).max() > 1e-9:
+        raise ValidationError(f"{where}: covariance is not symmetric")
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ValidationError(f"{where}: ridge must be finite and >= 0, got {ridge}")
+    if count <= 3:
+        raise ValidationError(f"{where}: n must be > 3, got {count}")
+    precision = _invert_spd_3x3(covariance + ridge * np.eye(3), where)
     for array in (mean, covariance, precision):
         array.flags.writeable = False
-    return GaussianGate(mean, covariance, precision, ridge, n)
+    return GaussianGate(mean, covariance, precision, ridge, count)
 
 
 def mahalanobis(gate: GaussianGate, vector) -> float:
@@ -379,8 +365,11 @@ def mahalanobis(gate: GaussianGate, vector) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite morphological vector")
     delta = arr - gate.mean
-    squared = float(delta @ gate.precision @ delta)
-    return math.sqrt(max(0.0, squared))
+    with np.errstate(all="ignore"):  # overflow gives inf (far away) or NaN (rejected)
+        squared = float(delta @ gate.precision @ delta)
+    if math.isnan(squared):
+        raise ValidationError("Mahalanobis distance is NaN: vector too far out of range")
+    return math.sqrt(max(0.0, squared))  # the clamp absorbs rounding just below 0
 
 
 def calibrate_spikiness_threshold(reference_scores, k: float = 2.0) -> float:
@@ -420,16 +409,7 @@ def load_gate(path) -> GaussianGate:
         count = int(entries["n"][0])
     except ValueError as exc:
         raise ValidationError(f"{path}: bad numeric value ({exc})") from None
-    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(covariance)):
-        raise ValidationError(f"{path}: non-finite gate parameters")
-    if np.abs(covariance - covariance.T).max() > 1e-9:
-        raise ValidationError(f"{path}: covariance is not symmetric")
-    if ridge < 0.0:
-        raise ValidationError(f"{path}: negative ridge")
-    precision = _invert_spd_3x3(covariance + ridge * np.eye(3), str(path))
-    for array in (mean, covariance, precision):
-        array.flags.writeable = False
-    return GaussianGate(mean, covariance, precision, ridge, count)
+    return _build_gate(mean, covariance, ridge, count, str(path))
 
 
 FEATURE_HEADER = ("image_id", "nc_ratio", "staining", "centroid_offset", "spikiness")

@@ -39,7 +39,7 @@ def noise_score(pixels) -> float:
 def partition_by_noise(scored: Iterable, threshold: float) -> tuple[list[str], list[str]]:
     """Stable split of (image_id, residual) pairs into (noisy, clean) ids by
     residual > threshold."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ValidationError(f"noise threshold must be >= 0, got {threshold}")
     noisy: list[str] = []
     clean: list[str] = []

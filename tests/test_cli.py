@@ -410,6 +410,20 @@ def test_rescue_without_gate_fails_when_pc_candidate_surfaces(corpus, tmp_path, 
     assert not (tmp_path / "pred.csv").exists()
 
 
+def test_rescue_rejects_gate_with_nan_ridge(corpus, tmp_path, capsys):
+    paths, gate_path, config_path = corpus
+    bad_gate = tmp_path / "nan.gate"
+    lines = gate_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad_gate.write_text(
+        "".join("ridge = nan\n" if line.startswith("ridge") else line for line in lines),
+        encoding="utf-8",
+    )
+    out = tmp_path / "pred.csv"
+    assert run(_rescue_args(paths, bad_gate, config_path, out)) == 1
+    assert "nan.gate: ridge must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_probability_file_is_validation_error(corpus, tmp_path, capsys):
     paths, gate_path, config_path = corpus
     bad = write_csv(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcrescue.core import ValidationError
 from wbcrescue.ingest import CellSample
@@ -238,6 +240,45 @@ def test_kmeans_escapes_locally_stable_split():
     assert int(nucleus.sum()) == 3
 
 
+def test_kmeans_tie_goes_to_lower_threshold():
+    # {0} | {1, 1, 2} and {0, 1, 1} | {2} both cost exactly 2/3.
+    gray = np.array([[0, 1, 1, 2]], dtype=np.uint8)
+    nucleus, cytoplasm = kmeans2_luminance(gray_sample(gray, np.ones((1, 4), dtype=bool)))
+    assert nucleus.tolist() == [[True, False, False, False]]
+    assert cytoplasm.tolist() == [[False, True, True, True]]
+
+
+@st.composite
+def _large_cells(draw):
+    """65-400 px cells: few gray levels (ties, symmetric level sets) or
+    two RGB base colors with per-channel texture."""
+    n = draw(st.integers(65, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            levels = np.arange(draw(st.integers(2, 5))) * draw(st.integers(1, 60))
+        else:
+            levels = rng.choice(256, size=draw(st.integers(2, 6)), replace=False)
+        gray = rng.choice(levels, size=n)
+        gray[:2] = levels[:2]
+        pixels = np.repeat(gray[:, None], 3, axis=1)
+    else:
+        bases = rng.integers(0, 256, size=(2, 3))
+        texture = rng.integers(-20, 21, size=(n, 3))
+        pixels = np.clip(bases[rng.integers(0, 2, size=n)] + texture, 0, 255)
+        pixels[0], pixels[1] = 0, 255
+    return CellSample("cell", pixels.astype(np.uint8).reshape(1, n, 3), np.ones((1, n), dtype=bool))
+
+
+@given(_large_cells())
+@settings(max_examples=100, deadline=None)
+def test_kmeans_large_inputs_reach_the_optimum(sample):
+    nucleus, cytoplasm = kmeans2_luminance(sample)
+    got = _returned_wcss(sample, nucleus, cytoplasm)
+    want = _oracle_best_wcss(list(luminance(sample.pixels)[sample.mask]))
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_threshold_is_globally_optimal_among_all_partitions():
     # The threshold restriction of the oracle is sound: on tiny inputs the
     # best threshold split matches the best among all 2-partitions.
@@ -392,6 +433,14 @@ def test_mahalanobis_diagonal_case():
     assert mahalanobis(gate, [2.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_mahalanobis_rejects_nan_distance():
+    covariance = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    gate = GaussianGate(np.zeros(3), covariance, np.linalg.inv(covariance), 0.0, 30)
+    with pytest.raises(ValidationError, match="Mahalanobis distance is NaN"):
+        mahalanobis(gate, [1e308, 1e308, 0.0])
+    assert mahalanobis(gate, [0.0, 0.0, 2.0]) == pytest.approx(2.0)
+
+
 def test_mahalanobis_rejects_non_finite():
     gate = fit_gaussian_gate(_jittered_ones())
     with pytest.raises(ValidationError, match="non-finite"):
@@ -451,9 +500,18 @@ def test_gate_file_accepts_comments_and_rejects_repeated_key(tmp_path):
 
 def test_gate_file_rejects_garbage(tmp_path):
     path = tmp_path / "pc.gate"
-    path.write_text("mean = 1 2\n", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        load_gate(path)
+    for bad, message in (
+        ({"mean": "1 2"}, "'mean' needs 3 values"),
+        ({"ridge": "nan"}, "ridge must be finite and >= 0, got nan"),
+        ({"ridge": "inf"}, "ridge must be finite and >= 0, got inf"),
+        ({"n": "-5"}, "n must be > 3, got -5"),
+        # Passes Sylvester's criterion, but the inverse overflows.
+        ({"cov": "1e10 0 0 0 1e-310 0 0 0 1"}, "degenerate covariance"),
+    ):
+        entries = {"mean": "0 0 0", "cov": "1 0 0 0 1 0 0 0 1", "ridge": "0", "n": "30", **bad}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"pc\.gate: {message}"):
+            load_gate(path)
 
 
 def test_features_csv_round_trip(tmp_path):

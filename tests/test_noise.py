@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,8 +93,9 @@ def test_partition_matches_counting_oracle():
 
 
 def test_partition_rejects_negative_threshold():
-    with pytest.raises(ValidationError):
-        partition_by_noise([], threshold=-1.0)
+    for threshold in (-1.0, math.nan):
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            partition_by_noise([("a", 1.0)], threshold=threshold)
 
 
 def test_inject_zero_density_is_identity():
