@@ -105,12 +105,11 @@ def _derive_seed(base_seed: int, image_id: str) -> int:
     return (base_seed * 1_000_003 + zlib.crc32(image_id.encode("utf-8"))) % 2**63
 
 
-class _MissingDirsSource:
-    def __call__(self, image_id: str):
-        raise SampleNotFoundError(
-            f"sample {image_id!r} needed for morphological filtering, "
-            "but --images/--masks were not given"
-        )
+def _no_sample_dirs(image_id: str):
+    raise SampleNotFoundError(
+        f"sample {image_id!r} needed for morphological filtering, "
+        "but --images/--masks were not given"
+    )
 
 
 def _cmd_rescue(args) -> int:
@@ -136,7 +135,7 @@ def _cmd_rescue(args) -> int:
     if args.images:
         source = DirectorySampleSource(args.images, args.masks)
     else:
-        source = _MissingDirsSource()
+        source = _no_sample_dirs
     traces = rescue_batch(
         swin,
         med,

@@ -30,38 +30,57 @@ def largest_foreground_component(mask) -> np.ndarray:
     """Boolean mask of the largest 8-connected foreground component.
 
     Ties go to the component encountered first in row-major scan order.
+
+    Run-based two-pass labelling (He, Chao & Suzuki, IEEE TIP 2008): the
+    horizontal runs of foreground pixels are the units, and runs of adjacent
+    rows that touch are merged with union-find. Each merge keeps the lower
+    run index as the root, so a component's root is its first run in
+    row-major order and `argmax` over the per-root sizes applies the tie rule.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValidationError("mask must be a 2-D array")
     if not mask.any():
         raise ValidationError("empty mask")
-    height, width = mask.shape
-    labels = np.zeros((height, width), dtype=np.int32)
-    sizes = [0]  # label 0 is background
-    for y, x in zip(*np.nonzero(mask)):
-        if labels[y, x]:
-            continue
-        label = len(sizes)
-        labels[y, x] = label
-        stack = [(int(y), int(x))]
-        count = 0
-        while stack:
-            cy, cx = stack.pop()
-            count += 1
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    ny, nx = cy + dy, cx + dx
-                    if (
-                        0 <= ny < height
-                        and 0 <= nx < width
-                        and mask[ny, nx]
-                        and not labels[ny, nx]
-                    ):
-                        labels[ny, nx] = label
-                        stack.append((ny, nx))
-        sizes.append(count)
-    return labels == int(np.argmax(sizes))
+    height = mask.shape[0]
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]  # exclusive, paired with starts in order
+    lengths = ends - starts
+    row_first = np.searchsorted(rows, np.arange(height + 1)).tolist()
+    s, e = starts.tolist(), ends.tolist()
+    parent = list(range(len(s)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for y in range(1, height):
+        i, i_stop = row_first[y - 1], row_first[y]
+        j, j_stop = i_stop, row_first[y + 1]
+        while i < i_stop and j < j_stop:
+            # 8-connectivity: the runs touch when they overlap or meet at a
+            # diagonal, i.e. each starts no later than the other's end.
+            if s[j] <= e[i] and s[i] <= e[j]:
+                a, b = find(i), find(j)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+            # The run that ends first can touch no later run of the other row.
+            if e[i] <= e[j]:
+                i += 1
+            else:
+                j += 1
+    roots = np.array([find(k) for k in range(len(s))])
+    sizes = np.bincount(roots, weights=lengths)
+    keep = roots == int(np.argmax(sizes))
+    # The runs list the foreground pixels in row-major order, as the mask does.
+    component = np.zeros_like(mask)
+    component[mask] = np.repeat(keep, lengths)
+    return component
 
 
 # Moore neighborhood in clockwise order (image coordinates, y grows down),

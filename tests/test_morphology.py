@@ -76,6 +76,121 @@ def test_empty_mask_is_an_error():
         trace_contour(np.zeros((4, 4), dtype=bool))
 
 
+def test_mask_must_be_2d():
+    with pytest.raises(ValidationError, match="mask must be a 2-D array"):
+        largest_foreground_component(np.ones((2, 2, 2), dtype=bool))
+
+
+def _flood_fill_reference(mask):
+    """Pixel-by-pixel 8-connected flood fill, labelling components in
+    row-major order of their first pixel: the oracle for the run-based
+    labelling."""
+    mask = np.asarray(mask, dtype=bool)
+    height, width = mask.shape
+    labels = np.zeros((height, width), dtype=np.int32)
+    sizes = [0]  # label 0 is background
+    for y, x in zip(*np.nonzero(mask)):
+        if labels[y, x]:
+            continue
+        label = len(sizes)
+        labels[y, x] = label
+        stack = [(int(y), int(x))]
+        count = 0
+        while stack:
+            cy, cx = stack.pop()
+            count += 1
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    ny, nx = cy + dy, cx + dx
+                    if (
+                        0 <= ny < height
+                        and 0 <= nx < width
+                        and mask[ny, nx]
+                        and not labels[ny, nx]
+                    ):
+                        labels[ny, nx] = label
+                        stack.append((ny, nx))
+        sizes.append(count)
+    return labels == int(np.argmax(sizes))
+
+
+@st.composite
+def _random_masks(draw):
+    """Non-empty boolean masks of 1x1 to 40x40 at any density, with single
+    rows and single columns drawn as often as the rest."""
+    side = st.integers(1, 40)
+    height, width = draw(
+        st.one_of(
+            st.tuples(st.just(1), side), st.tuples(side, st.just(1)), st.tuples(side, side)
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((height, width)) < draw(st.floats(0.0, 1.0))
+    mask.flat[rng.integers(mask.size)] = True
+    return mask
+
+
+@given(_random_masks())
+@settings(max_examples=300, deadline=None)
+def test_labelling_matches_flood_fill(mask):
+    assert np.array_equal(largest_foreground_component(mask), _flood_fill_reference(mask))
+
+
+def _u_beside_inner_blob():
+    """A U whose arms enclose the top of an equal-sized blob: the blob's
+    first run lies between the U's two first runs, which only merge at the
+    bottom row, and the tie goes to the U."""
+    mask = np.zeros((12, 11), dtype=bool)
+    mask[0:11, 0] = mask[0:11, 10] = True
+    mask[11, :] = True
+    expected = mask.copy()
+    mask[0:4, 2:9] = True
+    mask[4, 2:7] = True
+    assert expected.sum() == (mask & ~expected).sum() == 33
+    return mask, expected
+
+
+def _plus_touching_all_borders():
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[4, :] = mask[:, 4] = True
+    expected = mask.copy()
+    mask[0, 0] = mask[8, 8] = True
+    return mask, expected
+
+
+def _checkerboard():
+    yy, xx = np.mgrid[:7, :10]
+    mask = (yy + xx) % 2 == 1  # connected only through diagonals
+    return mask, mask.copy()
+
+
+@pytest.mark.parametrize(
+    "case", [_u_beside_inner_blob, _plus_touching_all_borders, _checkerboard]
+)
+def test_labelling_explicit_cases(case):
+    mask, expected = case()
+    assert np.array_equal(largest_foreground_component(mask), expected)
+    assert np.array_equal(_flood_fill_reference(mask), expected)
+
+
+def test_labelling_accepts_uint8_0_255_mask():
+    mask, expected = _plus_touching_all_borders()
+    component = largest_foreground_component(mask.astype(np.uint8) * 255)
+    assert component.dtype == bool
+    assert np.array_equal(component, expected)
+
+
+def test_labelling_size_agrees_with_scipy():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(91)
+    masks = [disc_mask(64, 20.0) | disc_mask(64, 6.0, center=(6.0, 6.0))]
+    masks += [rng.random((48, 37)) < density for density in (0.2, 0.45, 0.6, 0.9)]
+    for mask in masks:
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
+        largest = np.bincount(labels.ravel())[1:].max()
+        assert int(largest_foreground_component(mask).sum()) == int(largest)
+
+
 def test_contour_is_closed_8_connected_cycle():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcrescue.core import ValidationError
+from wbcrescue.morphology import luminance
 from wbcrescue.noise import (
+    _median_filter_3x3,
     inject_salt_pepper,
     noise_score,
     partition_by_noise,
@@ -32,6 +36,49 @@ def _naive_median_residual(gray):
             window.sort()
             total += abs(gray[y, x] - window[4])
     return total / (height * width)
+
+
+def _stacked_median_reference(values):
+    """np.median over the 9 edge-padded shifted views: the oracle for the
+    exchange network."""
+    padded = np.pad(values, 1, mode="edge")
+    height, width = values.shape
+    windows = np.stack(
+        [
+            padded[dy : dy + height, dx : dx + width]
+            for dy in range(3)
+            for dx in range(3)
+        ]
+    )
+    return np.median(windows, axis=0)
+
+
+@st.composite
+def _luminance_planes(draw):
+    """Luminance of 1x1 to 30x30 RGB images, single rows and columns included:
+    colors from a small palette (heavy ties) or uniform, then 0/255 impulses."""
+    side = st.integers(1, 30)
+    height, width = draw(
+        st.one_of(
+            st.just((1, 1)), st.tuples(st.just(1), side), st.tuples(side, st.just(1)),
+            st.tuples(side, side),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        palette = rng.integers(0, 256, size=(draw(st.integers(1, 4)), 3))
+        pixels = palette[rng.integers(len(palette), size=(height, width))]
+    else:
+        pixels = rng.integers(0, 256, size=(height, width, 3))
+    hit = rng.random((height, width)) < draw(st.floats(0.0, 1.0))
+    pixels[hit] = np.where(rng.random((height, width)) < 0.5, 0, 255)[hit][:, None]
+    return luminance(pixels.astype(np.uint8))
+
+
+@given(_luminance_planes())
+@settings(max_examples=300, deadline=None)
+def test_median_network_matches_stacked_median(values):
+    assert np.array_equal(_median_filter_3x3(values), _stacked_median_reference(values))
 
 
 def test_constant_image_scores_zero():
