@@ -191,7 +191,10 @@ def _cmd_features(args) -> int:
 
     def extract(image_id: str):
         sample = source(image_id)
-        return image_id, morph_vector(sample), spikiness(trace_contour(sample.mask))
+        try:
+            return image_id, morph_vector(sample), spikiness(trace_contour(sample.mask))
+        except ValidationError as exc:  # an unmeasurable cell: name its mask
+            raise ValidationError(f"{source.mask_path(image_id)}: {exc}") from None
 
     rows = parallel_map(extract, ids, args.threads)
     with _atomic(args.out) as tmp:

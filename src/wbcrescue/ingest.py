@@ -214,9 +214,12 @@ class DirectorySampleSource:
         self.images_dir = Path(images_dir)
         self.masks_dir = Path(masks_dir)
 
+    def mask_path(self, image_id: str) -> Path:
+        return self.masks_dir / (image_id + ".pgm")
+
     def __call__(self, image_id: str) -> CellSample:
         image_path = find_image(self.images_dir, image_id)
-        mask_path = self.masks_dir / (image_id + ".pgm")
+        mask_path = self.mask_path(image_id)
         if not mask_path.is_file():
             raise SampleNotFoundError(f"no mask for {image_id!r} under {self.masks_dir}")
         return load_cell_sample(image_path, mask_path, image_id)

@@ -84,9 +84,28 @@ def largest_foreground_component(mask) -> np.ndarray:
 
 
 # Moore neighborhood in clockwise order (image coordinates, y grows down),
-# starting at the west neighbor; offsets are (dx, dy).
+# starting at the west neighbor; offsets are (dx, dy). Bit k of a pixel's
+# neighbor code is set when its neighbor in direction k is foreground.
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
-_MOORE_INDEX = {offset: i for i, offset in enumerate(_MOORE)}
+
+
+def _next_direction_table() -> bytes:
+    """Entry `code * 8 + back`: the first direction clockwise after `back`
+    whose bit is set in `code`. Code 0, an isolated pixel, is never walked."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    order = (np.arange(8)[:, None] + np.arange(1, 9)) % 8  # [back, turn - 1]
+    first_turn = np.argmax(bits[:, order], axis=2)  # [code, back]
+    return order[np.arange(8), first_turn].astype(np.uint8).tobytes()
+
+
+_NEXT_DIRECTION = _next_direction_table()
+# After a move in direction k the backtrack is the neighbor examined just
+# before, direction k - 1 of the old pixel: _MOORE[k - 1] - _MOORE[k] as
+# seen from the new one.
+_BACKTRACK_AFTER = tuple(
+    _MOORE.index((_MOORE[k - 1][0] - _MOORE[k][0], _MOORE[k - 1][1] - _MOORE[k][1]))
+    for k in range(8)
+)
 
 
 def trace_contour(mask) -> np.ndarray:
@@ -99,56 +118,77 @@ def trace_contour(mask) -> np.ndarray:
     machine over (pixel, backtrack) pairs and stops when a state repeats,
     which closes the boundary cycle even for degenerate one-pixel-wide
     shapes.
+
+    The component is padded by one background pixel, so no step leaves the
+    array, and each pixel's 8-neighbor code is computed up front; a state is
+    the integer `pixel * 8 + backtrack` over the padded raster, and the next
+    direction is one lookup in `_NEXT_DIRECTION`.
     """
-    component = largest_foreground_component(mask)
-    height, width = component.shape
-    ys, xs = np.nonzero(component)
-    x0, y0 = int(xs[0]), int(ys[0])
-
-    def foreground(x: int, y: int) -> bool:
-        return 0 <= x < width and 0 <= y < height and bool(component[y, x])
-
-    if not any(foreground(x0 + dx, y0 + dy) for dx, dy in _MOORE):
-        return np.array([[x0, y0]], dtype=np.int64)
-
-    def step(cx: int, cy: int, bx: int, by: int) -> tuple[int, int, int, int]:
-        base = _MOORE_INDEX[(bx - cx, by - cy)]
-        px, py = bx, by
-        for turn in range(1, 9):
-            dx, dy = _MOORE[(base + turn) % 8]
-            nx, ny = cx + dx, cy + dy
-            if foreground(nx, ny):
-                return nx, ny, px, py
-            px, py = nx, ny
-        raise AssertionError("pixel with no foreground neighbor reached tracing")
-
-    state = (x0, y0, x0 - 1, y0)
-    seen: dict[tuple[int, int, int, int], int] = {}
-    points: list[tuple[int, int]] = []
+    padded = np.pad(largest_foreground_component(mask), 1).view(np.uint8)
+    width = padded.shape[1]
+    flat = padded.ravel()
+    size = len(flat)
+    # Codes of every pixel but the top and bottom pad rows; those of the pad
+    # columns wrap around the rows and are wrong, but no walk reaches them.
+    codes = np.zeros_like(flat)
+    inner = codes[width + 1 : size - width - 1]
+    for dx, dy in reversed(_MOORE):  # Horner's rule: bit k is doubled k times
+        inner += inner
+        inner |= flat[width + 1 + dy * width + dx : size - width - 1 + dy * width + dx]
+    start = int(np.argmax(flat))
+    if not codes[start]:
+        return np.array([[start % width - 1, start // width - 1]], dtype=np.int64)
+    code_of = codes.tobytes()
+    moves = [((dy * width + dx) << 3) + _BACKTRACK_AFTER[k] for k, (dx, dy) in enumerate(_MOORE)]
+    # Backtrack 0, the west neighbor, is background: it comes earlier in the scan.
+    state = start << 3
+    seen: dict[int, int] = {}
     while state not in seen:
-        seen[state] = len(points)
-        points.append((state[0], state[1]))
-        state = step(*state)
-    cycle = points[seen[state]:]
-    pivot = min(range(len(cycle)), key=lambda i: (cycle[i][1], cycle[i][0]))
-    return np.array(cycle[pivot:] + cycle[:pivot], dtype=np.int64)
+        seen[state] = len(seen)
+        pixel = state >> 3
+        state = (pixel << 3) + moves[_NEXT_DIRECTION[code_of[pixel] << 3 | state & 7]]
+    cycle = np.array(list(seen)[seen[state]:], dtype=np.int64) >> 3
+    pivot = int(np.argmin(cycle))  # flat indices sort topmost-then-leftmost
+    ys, xs = np.divmod(np.roll(cycle, -pivot), width)
+    return np.stack([xs - 1, ys - 1], axis=1)
+
+
+def _distinct_points(points) -> np.ndarray:
+    """The distinct rows of (n, 2) integer points, sorted by (x, y)."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return pts[first]
 
 
 def convex_hull(points) -> np.ndarray:
-    """Monotone-chain convex hull of integer points, counterclockwise."""
-    pts = sorted({(int(x), int(y)) for x, y in np.asarray(points)})
+    """Monotone-chain convex hull of integer points, counterclockwise.
+
+    A point between the lowest and the highest point of its column lies on
+    the segment joining them, so it is never a strict hull vertex; the chain
+    is given only those two points per column (the throw-away step of Akl &
+    Toussaint, IPL 1978) and returns the same vertices.
+    """
+    pts = _distinct_points(points)
+    if len(pts) > 2:
+        column_edge = pts[1:, 0] != pts[:-1, 0]
+        extreme = np.ones(len(pts), dtype=bool)
+        extreme[1:-1] = column_edge[:-1] | column_edge[1:]
+        pts = pts[extreme]
+    pts = pts.tolist()
     if len(pts) <= 2:
         return np.array(pts, dtype=np.int64)
 
     def cross(o, a, b) -> int:
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[tuple[int, int]] = []
+    lower: list[list[int]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[tuple[int, int]] = []
+    upper: list[list[int]] = []
     for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -177,13 +217,13 @@ def spikiness(contour) -> float:
     protrusions lengthen the boundary faster than the hull. Contours with
     fewer than 3 distinct points are degenerate and score 0.
     """
-    pts = np.asarray(contour)
-    if len({(int(x), int(y)) for x, y in pts}) < 3:
+    distinct = _distinct_points(contour)
+    if len(distinct) < 3:
         return 0.0
-    hull_perimeter = polygon_perimeter(convex_hull(pts))
+    hull_perimeter = polygon_perimeter(convex_hull(distinct))
     if hull_perimeter <= 0.0:
         return 0.0
-    return max(0.0, polygon_perimeter(pts) / hull_perimeter - 1.0)
+    return max(0.0, polygon_perimeter(contour) / hull_perimeter - 1.0)
 
 
 def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:
@@ -222,6 +262,11 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     return int(candidates[np.argmin(costs)])
 
 
+def _luminance_at(sample: CellSample, flat) -> np.ndarray:
+    """Luminance of the sample's pixels at the given flat row-major indices."""
+    return luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
+
+
 def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     """Partition foreground pixels into nucleus and cytoplasm by luminance.
 
@@ -233,17 +278,19 @@ def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     nucleus and the two masks partition the foreground.
     """
     foreground = np.asarray(sample.mask, dtype=bool)
-    if not foreground.any():
+    flat = np.flatnonzero(foreground)
+    if flat.size == 0:
         raise ValidationError(f"{sample.image_id}: empty mask")
-    values = luminance(sample.pixels)[foreground]
+    values = _luminance_at(sample, flat)
     if values.size < 2:
         raise ValidationError(f"{sample.image_id}: need at least 2 foreground pixels to cluster")
     sorted_values = np.sort(values)
     if sorted_values[0] == sorted_values[-1]:
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
     cut = sorted_values[_best_threshold_split(sorted_values) - 1]
-    nucleus_mask = np.zeros_like(foreground)
-    nucleus_mask[foreground] = values <= cut
+    nucleus = np.zeros(foreground.size, dtype=bool)
+    nucleus[flat[values <= cut]] = True
+    nucleus_mask = nucleus.reshape(foreground.shape)
     return nucleus_mask, foreground & ~nucleus_mask
 
 
@@ -261,17 +308,23 @@ class MorphVector:
 
 
 def morph_vector(sample: CellSample) -> MorphVector:
-    """Extract the 3-component shape vector from one segmented cell."""
+    """Extract the 3-component shape vector from one segmented cell.
+
+    Pixels are addressed by their flat row-major index, so each mean sees
+    its values in the order a boolean-mask selection would give them.
+    """
     nucleus_mask, cytoplasm_mask = kmeans2_luminance(sample)
-    area_nucleus = int(nucleus_mask.sum())
-    area_cytoplasm = int(cytoplasm_mask.sum())
+    nucleus = np.flatnonzero(nucleus_mask)
+    cytoplasm = np.flatnonzero(cytoplasm_mask)
+    area_nucleus = len(nucleus)
+    area_cytoplasm = len(cytoplasm)
     if area_nucleus == 0 or area_cytoplasm == 0:
         raise ValidationError(f"{sample.image_id}: degenerate segmentation")
-    lum = luminance(sample.pixels)
-    staining = float(lum[cytoplasm_mask].mean()) / 255.0
-    ys, xs = np.nonzero(sample.mask)
+    staining = float(_luminance_at(sample, cytoplasm).mean()) / 255.0
+    width = nucleus_mask.shape[1]
+    ys, xs = np.divmod(np.flatnonzero(sample.mask), width)
     cell_centroid = np.array([xs.mean(), ys.mean()])
-    nys, nxs = np.nonzero(nucleus_mask)
+    nys, nxs = np.divmod(nucleus, width)
     nucleus_centroid = np.array([nxs.mean(), nys.mean()])
     area_cell = len(xs)
     equivalent_radius = math.sqrt(area_cell / math.pi)

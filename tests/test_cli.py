@@ -252,6 +252,30 @@ def test_calibrate_spikiness_rejects_nan_k(tmp_path, capsys):
     assert not tau_out.exists()
 
 
+@pytest.mark.parametrize(
+    "image_id, gray, mask_value, reason",
+    [("b", None, 0, "b: empty mask"), ("c", 90, 255, "c: degenerate luminance distribution")],
+)
+def test_features_names_mask_of_unmeasurable_cell(tmp_path, capsys, image_id, gray, mask_value,
+                                                   reason):
+    images, masks = tmp_path / "images", tmp_path / "masks"
+    images.mkdir()
+    masks.mkdir()
+    rng = np.random.default_rng(3)
+    write_pnm(images / "a.ppm", rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
+    write_pnm(masks / "a.pgm", np.full((8, 8), 255, dtype=np.uint8))
+    pixels = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8) if gray is None else np.full(
+        (8, 8, 3), gray, dtype=np.uint8
+    )
+    write_pnm(images / f"{image_id}.ppm", pixels)
+    write_pnm(masks / f"{image_id}.pgm", np.full((8, 8), mask_value, dtype=np.uint8))
+    out = tmp_path / "features.csv"
+    args = ["features", "--images", str(images), "--masks", str(masks), "--out", str(out)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {masks / image_id}.pgm: {reason}\n"
+    assert not out.exists()
+
+
 def test_noise_score_and_inject(tmp_path):
     images = tmp_path / "images"
     images.mkdir()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wbcrescue.core import ValidationError
 from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
+    _NEXT_DIRECTION,
+    _best_threshold_split,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
@@ -213,6 +215,115 @@ def test_thin_line_walks_out_and_back():
     assert spikiness(contour) == 0.0
 
 
+_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
+_MOORE_INDEX = {offset: i for i, offset in enumerate(_MOORE)}
+
+
+def _moore_walk_reference(mask):
+    """Moore-neighbor walk over (x, y, backtrack x, backtrack y) tuples with
+    a bounds check per neighbor: the oracle for the table-driven walk."""
+    component = largest_foreground_component(mask)
+    height, width = component.shape
+    ys, xs = np.nonzero(component)
+    x0, y0 = int(xs[0]), int(ys[0])
+
+    def foreground(x, y):
+        return 0 <= x < width and 0 <= y < height and bool(component[y, x])
+
+    if not any(foreground(x0 + dx, y0 + dy) for dx, dy in _MOORE):
+        return np.array([[x0, y0]], dtype=np.int64)
+
+    def step(cx, cy, bx, by):
+        base = _MOORE_INDEX[(bx - cx, by - cy)]
+        px, py = bx, by
+        for turn in range(1, 9):
+            dx, dy = _MOORE[(base + turn) % 8]
+            nx, ny = cx + dx, cy + dy
+            if foreground(nx, ny):
+                return nx, ny, px, py
+            px, py = nx, ny
+        raise AssertionError("pixel with no foreground neighbor reached tracing")
+
+    state = (x0, y0, x0 - 1, y0)
+    seen = {}
+    points = []
+    while state not in seen:
+        seen[state] = len(points)
+        points.append((state[0], state[1]))
+        state = step(*state)
+    cycle = points[seen[state]:]
+    pivot = min(range(len(cycle)), key=lambda i: (cycle[i][1], cycle[i][0]))
+    return np.array(cycle[pivot:] + cycle[:pivot], dtype=np.int64)
+
+
+def _assert_same_contour(mask):
+    contour = trace_contour(mask)
+    expected = _moore_walk_reference(mask)
+    assert contour.dtype == np.int64 and contour.shape == expected.shape
+    assert np.array_equal(contour, expected)
+    return contour
+
+
+def test_next_direction_table_is_first_foreground_clockwise():
+    for code in range(1, 256):
+        for back in range(8):
+            turn = next(t for t in range(1, 9) if code >> (back + t) % 8 & 1)
+            assert _NEXT_DIRECTION[code * 8 + back] == (back + turn) % 8, (code, back)
+
+
+def _from_rows(*rows):
+    return np.array([[c == "#" for c in row] for row in rows], dtype=bool)
+
+
+_WALK_CASES = {
+    "start at column 0": _from_rows("....", "#...", "##..", "###."),
+    "start at row 0": _from_rows("..#..", ".###.", "#####"),
+    "start at the corner": _from_rows("###", "#..", "#.."),
+    "1xN": np.ones((1, 6), dtype=bool),
+    "Nx1": np.ones((5, 1), dtype=bool),
+    "single pixel": np.ones((1, 1), dtype=bool),
+    "single inner pixel": _from_rows("...", ".#.", "..."),
+    "diagonal only": _from_rows("#...#", ".#.#.", "..#..", ".#.#.", "#...#"),
+    "anti-diagonal": _from_rows("...#", "..#.", ".#..", "#..."),
+    "spur out and back": _from_rows("......", ".##...", ".#####", ".##...", "......"),
+    "spur upward": _from_rows("..#..", "..#..", ".###.", ".###."),
+    "ring with a hole": _from_rows("#####", "#...#", "#...#", "#####"),
+    "thin ring with a hole": _from_rows(".#.", "#.#", ".#."),
+    "touching all borders": _from_rows("..#..", "..#..", "#####", "..#..", "..#.."),
+    "full raster": np.ones((4, 5), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("name", list(_WALK_CASES))
+def test_contour_walk_explicit_cases(name):
+    _assert_same_contour(_WALK_CASES[name])
+
+
+def test_contour_walk_explicit_points():
+    assert trace_contour(_WALK_CASES["1xN"]).tolist() == (
+        [[x, 0] for x in range(6)] + [[x, 0] for x in range(4, 0, -1)]
+    )
+    assert trace_contour(_WALK_CASES["Nx1"]).tolist() == (
+        [[0, y] for y in range(5)] + [[0, y] for y in range(3, 0, -1)]
+    )
+    assert trace_contour(_WALK_CASES["single pixel"]).tolist() == [[0, 0]]
+    assert trace_contour(_WALK_CASES["thin ring with a hole"]).tolist() == [
+        [1, 0], [2, 1], [1, 2], [0, 1],
+    ]
+    assert trace_contour(_WALK_CASES["spur out and back"]).tolist() == [
+        [1, 1], [2, 1], [3, 2], [4, 2], [5, 2], [4, 2], [3, 2], [2, 3], [1, 3], [1, 2],
+    ]
+
+
+@given(_random_masks())
+@settings(max_examples=300, deadline=None)
+def test_contour_matches_moore_walk(mask):
+    contour = _assert_same_contour(mask)
+    flipped = mask[::-1, ::-1]  # a non-contiguous view
+    assert np.array_equal(trace_contour(flipped), _moore_walk_reference(flipped))
+    assert spikiness(contour) == _spikiness_reference(contour)
+
+
 # ----------------------------------------------------------- spikiness
 
 
@@ -249,6 +360,66 @@ def test_convex_hull_of_square_ring():
     points = trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1)))
     hull = convex_hull(points)
     assert set(map(tuple, hull.tolist())) == {(1, 1), (4, 1), (4, 4), (1, 4)}
+
+
+def _hull_reference(points):
+    """Monotone chain over every distinct point: the oracle for the chain fed
+    only the column extremes."""
+    pts = sorted({(int(x), int(y)) for x, y in np.asarray(points)})
+    if len(pts) <= 2:
+        return np.array(pts, dtype=np.int64)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+
+
+def _spikiness_reference(contour):
+    pts = np.asarray(contour)
+    if len({(int(x), int(y)) for x, y in pts}) < 3:
+        return 0.0
+    hull_perimeter = polygon_perimeter(_hull_reference(pts))
+    if hull_perimeter <= 0.0:
+        return 0.0
+    return max(0.0, polygon_perimeter(pts) / hull_perimeter - 1.0)
+
+
+_point_sets = st.one_of(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40),
+    st.lists(st.tuples(st.just(3), st.integers(-50, 50)), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(-50, 50), st.just(-2)), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)), max_size=12),
+)
+
+
+@given(_point_sets)
+@settings(max_examples=400, deadline=None)
+def test_convex_hull_matches_full_monotone_chain(points):
+    points = np.array(points, dtype=np.int64).reshape(-1, 2)
+    hull = convex_hull(points)
+    expected = _hull_reference(points)
+    assert hull.dtype == np.int64 and hull.shape == expected.shape
+    assert np.array_equal(hull, expected)
+    if len(points):
+        assert spikiness(points) == _spikiness_reference(points)
+
+
+def test_hull_and_spikiness_match_oracle_on_stars():
+    for amplitude in (0.0, 2.0, 5.0):
+        contour = trace_contour(star_mask(48, 7, 12.0, amplitude))
+        assert np.array_equal(convex_hull(contour), _hull_reference(contour))
+        assert spikiness(contour) == _spikiness_reference(contour)
 
 
 # -------------------------------------------------------------- 2-means
@@ -453,6 +624,83 @@ def test_morph_vector_is_resolution_stable():
     big = morph_vector(upsampled)
     assert abs(small.nc_ratio - big.nc_ratio) < 0.02
     assert abs(small.centroid_offset - big.centroid_offset) < 0.02
+
+
+def _kmeans_reference(sample):
+    """Luminance of the whole image and 2-D boolean selection: the oracle for
+    the gather over flat foreground indices."""
+    foreground = np.asarray(sample.mask, dtype=bool)
+    if not foreground.any():
+        raise ValidationError(f"{sample.image_id}: empty mask")
+    values = luminance(sample.pixels)[foreground]
+    if values.size < 2:
+        raise ValidationError(f"{sample.image_id}: need at least 2 foreground pixels to cluster")
+    sorted_values = np.sort(values)
+    if sorted_values[0] == sorted_values[-1]:
+        raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
+    cut = sorted_values[_best_threshold_split(sorted_values) - 1]
+    nucleus_mask = np.zeros_like(foreground)
+    nucleus_mask[foreground] = values <= cut
+    return nucleus_mask, foreground & ~nucleus_mask
+
+
+def _morph_vector_reference(sample):
+    nucleus_mask, cytoplasm_mask = _kmeans_reference(sample)
+    area_nucleus = int(nucleus_mask.sum())
+    area_cytoplasm = int(cytoplasm_mask.sum())
+    if area_nucleus == 0 or area_cytoplasm == 0:
+        raise ValidationError(f"{sample.image_id}: degenerate segmentation")
+    lum = luminance(sample.pixels)
+    staining = float(lum[cytoplasm_mask].mean()) / 255.0
+    ys, xs = np.nonzero(sample.mask)
+    cell_centroid = np.array([xs.mean(), ys.mean()])
+    nys, nxs = np.nonzero(nucleus_mask)
+    nucleus_centroid = np.array([nxs.mean(), nys.mean()])
+    equivalent_radius = math.sqrt(len(xs) / math.pi)
+    delta = nucleus_centroid - cell_centroid
+    offset = float(np.hypot(delta[0], delta[1])) / equivalent_radius
+    return MorphVector(area_nucleus / area_cytoplasm, staining, offset)
+
+
+def _outcome(fn, sample):
+    try:
+        return fn(sample)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def _textured_cells(draw):
+    """Random masks (1xN, Nx1, touching the borders) under RGB cells of two
+    base colors with per-channel texture, or of one flat color."""
+    mask = draw(_random_masks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.integers(0, 256, size=(2, 3))
+    texture = rng.integers(-20, 21, size=(*mask.shape, 3)) * draw(st.sampled_from([0, 1]))
+    pixels = np.clip(bases[rng.integers(0, 2, size=mask.shape)] + texture, 0, 255)
+    return CellSample("cell", pixels.astype(np.uint8), mask)
+
+
+@given(_textured_cells())
+@settings(max_examples=300, deadline=None)
+def test_morph_vector_matches_full_image_reference(sample):
+    masks = _outcome(kmeans2_luminance, sample)
+    expected = _outcome(_kmeans_reference, sample)
+    if isinstance(expected, str):
+        assert masks == expected
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(masks, expected))
+    assert _outcome(morph_vector, sample) == _outcome(_morph_vector_reference, sample)
+
+
+def test_morph_vector_matches_reference_on_large_textured_cells():
+    rng = np.random.default_rng(12)
+    for shift in (0.0, 2.5, 5.0):
+        sample = eccentric_cell(nucleus_shift=shift)
+        texture = rng.integers(-15, 16, size=sample.pixels.shape)
+        pixels = np.clip(sample.pixels.astype(int) + texture, 0, 255).astype(np.uint8)
+        textured = CellSample("cell", pixels, sample.mask)
+        assert morph_vector(textured) == _morph_vector_reference(textured)
 
 
 # ------------------------------------------------------- gaussian gate
