@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -18,40 +18,27 @@ class SampleNotFoundError(FileNotFoundError):
 
 
 class ProbTable:
-    """Ordered per-image probability rows from one classifier branch, held
-    as one read-only (N, K) matrix with an id -> row index."""
+    """Ordered per-image probability rows from one classifier branch: the
+    image ids and one read-only (N, K) float64 matrix whose row i belongs to
+    ids[i]."""
 
-    def __init__(self, label_set: LabelSet, rows: Iterable[tuple[str, np.ndarray]]):
+    def __init__(self, label_set: LabelSet, ids: Iterable[str], matrix):
         self.label_set = label_set
-        index: dict[str, int] = {}
-        vectors = []
-        for image_id, probs in rows:
-            if image_id in index:
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.matrix = np.array(matrix, dtype=np.float64)
+        if self.matrix.shape != (len(self.ids), len(label_set)):
+            raise ValidationError(
+                f"probability matrix shape {self.matrix.shape} does not match "
+                f"{len(self.ids)} ids by catalog size {len(label_set)}"
+            )
+        self.matrix.flags.writeable = False
+        self._index: dict[str, int] = {}
+        for row, image_id in enumerate(self.ids):
+            if self._index.setdefault(image_id, row) != row:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
-            if len(probs) != len(label_set):
-                raise ValidationError(
-                    f"{image_id}: probability vector length {len(probs)} "
-                    f"does not match catalog size {len(label_set)}"
-                )
-            index[image_id] = len(vectors)
-            vectors.append(probs)
-        matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(label_set))
-        matrix.flags.writeable = False
-        self.ids: tuple[str, ...] = tuple(index)
-        self.matrix = matrix
-        self._index = index
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return zip(self.ids, self.matrix)
-
-    def probs_for(self, image_id: str) -> np.ndarray:
-        try:
-            return self.matrix[self._index[image_id]]
-        except KeyError:
-            raise ValidationError(f"no probabilities for image_id {image_id!r}") from None
 
     def aligned_to(self, ids: Sequence[str]) -> np.ndarray:
         """The (len(ids), K) matrix of this table's rows for `ids`, in that
@@ -68,7 +55,8 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     Rows are validated and renormalized to sum exactly 1; row order is
     preserved. Errors name the file, line, and offending column.
     """
-    rows: list[tuple[str, np.ndarray]] = []
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     for lineno, row in read_csv(path, ["image_id", *label_set.names]):
         image_id = row[0]
@@ -86,15 +74,19 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
                     f"{path}:{lineno}: column {label_set.name_at(column)}: "
                     f"non-numeric value {cell!r}"
                 ) from None
-        rows.append((image_id, normalize_probs(values, where=f"{path}:{lineno}")))
-    return ProbTable(label_set, rows)
+        ids.append(image_id)
+        rows.append(normalize_probs(values, where=f"{path}:{lineno}"))
+    return ProbTable(label_set, ids, np.reshape(rows, (len(ids), len(label_set))))
 
 
 def write_prob_table(path, table: ProbTable) -> None:
     write_csv(
         path,
         ["image_id", *table.label_set.names],
-        ([image_id, *(f"{value:.12g}" for value in probs)] for image_id, probs in table),
+        (
+            [image_id, *(f"{value:.12g}" for value in probs)]
+            for image_id, probs in zip(table.ids, table.matrix)
+        ),
     )
 
 
@@ -139,14 +131,6 @@ class CellSample:
                 f"{self.mask.shape[1] if self.mask.ndim == 2 else '?'}x{self.mask.shape[0]}"
             )
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def read_image_rgb(path) -> np.ndarray:
     """Read a netpbm image as (H, W, 3); grayscale is channel-replicated."""
@@ -189,7 +173,7 @@ def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:
                 f"probability tables disagree on image ids (e.g. {missing})"
             )
     mean = np.mean([table.aligned_to(first.ids) for table in tables], axis=0)
-    return ProbTable(first.label_set, zip(first.ids, mean))
+    return ProbTable(first.label_set, first.ids, mean)
 
 
 SampleSource = Callable[[str], CellSample]

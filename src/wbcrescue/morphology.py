@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -294,17 +294,13 @@ def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     return nucleus_mask, foreground & ~nucleus_mask
 
 
-@dataclass(frozen=True)
-class MorphVector:
+class MorphVector(NamedTuple):
     """(nucleus/cytoplasm area ratio, normalized cytoplasm luminance,
     nucleus eccentricity relative to the equivalent cell radius)."""
 
     nc_ratio: float
     staining: float
     centroid_offset: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nc_ratio, self.staining, self.centroid_offset])
 
 
 def morph_vector(sample: CellSample) -> MorphVector:
@@ -392,8 +388,7 @@ def fit_gaussian_gate(features, ridge_scale: float = 1e-6) -> GaussianGate:
     Uses the unbiased covariance estimator with a trace-scaled ridge so the
     gate stays defined for small, nearly collinear calibration sets.
     """
-    rows = [f.as_array() if isinstance(f, MorphVector) else np.asarray(f, float) for f in features]
-    matrix = np.asarray(rows, dtype=np.float64)
+    matrix = np.asarray(list(features), float)
     if matrix.ndim != 2 or matrix.shape[1] != 3:
         raise ValidationError("calibration features must be 3-vectors")
     n = len(matrix)
@@ -431,7 +426,7 @@ def _build_gate(mean, covariance, ridge: float, count: int, where: str) -> Gauss
 
 def mahalanobis(gate: GaussianGate, vector) -> float:
     """Mahalanobis distance of a 3-vector from the gate's distribution."""
-    arr = vector.as_array() if isinstance(vector, MorphVector) else np.asarray(vector, float)
+    arr = np.asarray(vector, float)
     if arr.shape != (3,):
         raise ValidationError("morphological vector must have 3 components")
     if not np.all(np.isfinite(arr)):

@@ -1,10 +1,8 @@
-"""Impulse-noise tooling: the median-residual score used to split a corpus
-into noisy and clean subsets, and the seeded salt-and-pepper injector that
-manufactures paired training data from the clean side."""
+"""Impulse-noise tooling: the median-residual score that rates how noisy an
+image is, and the seeded salt-and-pepper injector that manufactures paired
+training data from clean images."""
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -46,18 +44,6 @@ def noise_score(pixels) -> float:
     """
     lum = luminance(pixels)
     return float(np.abs(lum - _median_filter_3x3(lum)).mean())
-
-
-def partition_by_noise(scored: Iterable, threshold: float) -> tuple[list[str], list[str]]:
-    """Stable split of (image_id, residual) pairs into (noisy, clean) ids by
-    residual > threshold."""
-    if not threshold >= 0:  # NaN fails too
-        raise ValidationError(f"noise threshold must be >= 0, got {threshold}")
-    noisy: list[str] = []
-    clean: list[str] = []
-    for image_id, residual in scored:
-        (noisy if residual > threshold else clean).append(image_id)
-    return noisy, clean
 
 
 def inject_salt_pepper(

@@ -166,8 +166,8 @@ def _run_production(pool, groups, gate, boost_override=None):
             tau_s=params["tau_s"],
             tau_m=params["tau_m"],
         )
-        swin = ProbTable(LABELS, [(cid, p) for cid, p, _, _ in cases])
-        med = ProbTable(LABELS, [(cid, p) for cid, _, p, _ in cases])
+        swin = ProbTable(LABELS, [cid for cid, _, _, _ in cases], [p for _, p, _, _ in cases])
+        med = ProbTable(LABELS, [cid for cid, _, _, _ in cases], [p for _, _, p, _ in cases])
         assignment = {cid: key for cid, _, _, key in cases}
         source = lambda image_id: pool[assignment[image_id]]
         traces = rescue_batch(swin, med, source, counts, gate, config, threads=1)
@@ -573,7 +573,8 @@ def test_criterion_10_end_to_end_ablation(pipeline_corpus, tmp_path):
 
     table = parse_prob_table(paths.swin, LABELS)
     base_rows = [
-        [image_id, LABELS.name_at(int(np.argmax(probs)))] for image_id, probs in table
+        [image_id, LABELS.name_at(int(np.argmax(probs)))]
+        for image_id, probs in zip(table.ids, table.matrix)
     ]
     base_csv = write_csv(tmp_path / "base.csv", ["image_id", "label"], base_rows)
 

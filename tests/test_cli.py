@@ -134,8 +134,8 @@ def test_ensemble_averages_tables(tmp_path):
     out = tmp_path / "mean.csv"
     assert run(["ensemble", str(a), str(b), "--labels", str(labels_path), "--out", str(out)]) == 0
     merged = parse_prob_table(out, labels)
-    assert merged.probs_for("img0")[0] == pytest.approx(0.3, abs=1e-9)
-    assert merged.probs_for("img0")[1] == pytest.approx(0.15, abs=1e-9)
+    assert merged.aligned_to(["img0"])[0][0] == pytest.approx(0.3, abs=1e-9)
+    assert merged.aligned_to(["img0"])[0][1] == pytest.approx(0.15, abs=1e-9)
 
 
 def test_rescue_end_to_end(corpus, tmp_path):

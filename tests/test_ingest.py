@@ -1,5 +1,10 @@
+from operator import attrgetter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wbcrescue.core import LabelSet, ValidationError
 from wbcrescue.ingest import (
@@ -145,7 +150,7 @@ def test_parse_prob_table_happy_path(tmp_path, labels2):
     path = write_csv(tmp_path / "p.csv", ["image_id", "SNE", "LY"], [["img1", "0.7", "0.3"]])
     table = parse_prob_table(path, labels2)
     assert table.ids == ("img1",)
-    assert table.probs_for("img1").sum() == pytest.approx(1.0, abs=1e-12)
+    assert table.aligned_to(["img1"])[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parse_prob_table_rejects_header_mismatch(tmp_path, labels2):
@@ -167,7 +172,7 @@ def test_parse_prob_table_renormalizes_small_drift(tmp_path, labels2):
     table = parse_prob_table(path, labels2)
     total = 0.70005 + 0.29945
     expected = np.array([0.70005 / total, 0.29945 / total])
-    assert np.allclose(table.probs_for("img1"), expected, atol=1e-12)
+    assert np.allclose(table.aligned_to(["img1"])[0], expected, atol=1e-12)
 
 
 def test_parse_prob_table_names_bad_cell(tmp_path, labels2):
@@ -195,7 +200,7 @@ def test_parse_prob_table_accepts_crlf(tmp_path, labels2):
     path = tmp_path / "p.csv"
     path.write_bytes(b"image_id,SNE,LY\r\nimg1,0.6,0.4\r\n")
     table = parse_prob_table(path, labels2)
-    assert table.probs_for("img1")[0] == pytest.approx(0.6, abs=1e-12)
+    assert table.aligned_to(["img1"])[0][0] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_prob_table_serialization_round_trip(tmp_path, labels2):
@@ -209,8 +214,93 @@ def test_prob_table_serialization_round_trip(tmp_path, labels2):
     write_prob_table(tmp_path / "b.csv", original)
     reparsed = parse_prob_table(tmp_path / "b.csv", labels2)
     assert reparsed.ids == original.ids
-    for image_id, probs in original:
-        assert np.allclose(reparsed.probs_for(image_id), probs, atol=1e-9)
+    for image_id, probs in zip(original.ids, original.matrix):
+        assert np.allclose(reparsed.aligned_to([image_id])[0], probs, atol=1e-9)
+
+
+def _row_table_reference(label_set, rows):
+    """The former row-by-row ProbTable constructor, kept as the oracle:
+    (ids, matrix) of (image_id, probs) pairs, or its ValidationError."""
+    index = {}
+    vectors = []
+    for image_id, probs in rows:
+        if image_id in index:
+            raise ValidationError(f"duplicate image_id {image_id!r}")
+        if len(probs) != len(label_set):
+            raise ValidationError(
+                f"{image_id}: probability vector length {len(probs)} "
+                f"does not match catalog size {len(label_set)}"
+            )
+        index[image_id] = len(vectors)
+        vectors.append(probs)
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(label_set))
+    return tuple(index), matrix
+
+
+@st.composite
+def _table_inputs(draw):
+    k = draw(st.integers(min_value=2, max_value=5))
+    # A small id alphabet makes repeats, including several of them, common.
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "img1", "img10", ""]), max_size=12))
+    width = k + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    matrix = draw(hnp.arrays(np.float64, (len(ids), width), elements=st.floats(width=64)))
+    return LabelSet([f"C{i}" for i in range(k)]), ids, matrix
+
+
+def _outcome(build):
+    """(ids, shape, matrix bits) of the (ids, matrix) that `build` returns,
+    or its error message."""
+    try:
+        ids, matrix = build()
+    except ValidationError as exc:
+        return "error", str(exc)
+    assert matrix.dtype == np.float64
+    return ids, matrix.shape, matrix.tobytes()
+
+
+@given(_table_inputs())
+@settings(max_examples=300, deadline=None)
+def test_constructor_matches_row_reference(inputs):
+    label_set, ids, matrix = inputs
+    expected = _outcome(lambda: _row_table_reference(label_set, zip(ids, matrix)))
+    actual = _outcome(lambda: attrgetter("ids", "matrix")(ProbTable(label_set, ids, matrix)))
+    if not ids and matrix.shape[1] != len(label_set):
+        # Zero rows give the reference no width to check; the matrix's
+        # own shape still does.
+        assert expected[0] == () and actual[0] == "error"
+    elif expected[0] == "error" and "duplicate" not in expected[1]:
+        # Width errors differ in wording: one row's length, or the shape.
+        assert actual[0] == "error" and "shape" in actual[1]
+    else:
+        assert actual == expected
+
+
+def test_constructor_checks_shape_and_repeats(labels2):
+    with pytest.raises(ValidationError, match="duplicate image_id 'b'"):
+        ProbTable(labels2, ["a", "b", "b", "a"], np.zeros((4, 2)))
+    with pytest.raises(ValidationError, match="shape"):
+        ProbTable(labels2, ["a", "b"], np.zeros((3, 2)))
+    with pytest.raises(ValidationError, match="shape"):
+        ProbTable(labels2, ["a", "b"], np.zeros(4))
+    empty = ProbTable(labels2, [], np.empty((0, 2)))
+    assert len(empty) == 0 and empty.matrix.shape == (0, 2) and "a" not in empty
+
+
+def test_table_matrix_is_a_read_only_copy(labels2):
+    source = np.array([[0.25, 0.75], [0.5, 0.5]])
+    table = ProbTable(labels2, ["a", "b"], source)
+    with pytest.raises(ValueError):
+        table.matrix[0, 0] = 1.0
+    source[0, 0] = 9.0
+    rows = [[0.125, 0.875]]
+    listed = ProbTable(labels2, ["c"], rows)
+    rows[0][0] = 9.0
+    assert table.matrix.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+    assert listed.matrix.tolist() == [[0.125, 0.875]]
+    # Another table's read-only matrix is accepted, and copied again.
+    again = ProbTable(labels2, table.ids, table.matrix)
+    assert not again.matrix.flags.writeable and again.matrix is not table.matrix
+    assert list(again.aligned_to(["b", "a"]).ravel()) == [0.5, 0.5, 0.25, 0.75]
 
 
 # ---------------------------------------------------------- class counts
@@ -254,22 +344,20 @@ def test_parse_class_counts_rejects_bad_rows(tmp_path, labels2):
 
 
 def _table(labels2, rows):
-    return ProbTable(
-        labels2, [(image_id, np.array(values, dtype=float)) for image_id, values in rows]
-    )
+    return ProbTable(labels2, [image_id for image_id, _ in rows], [values for _, values in rows])
 
 
 def test_average_single_table_is_identity(labels2):
     table = _table(labels2, [("img1", [0.8, 0.2])])
     merged = average_prob_tables([table])
-    assert np.allclose(merged.probs_for("img1"), [0.8, 0.2])
+    assert np.allclose(merged.aligned_to(["img1"])[0], [0.8, 0.2])
 
 
 def test_average_two_tables(labels2):
     a = _table(labels2, [("img1", [0.8, 0.2])])
     b = _table(labels2, [("img1", [0.6, 0.4])])
     merged = average_prob_tables([a, b])
-    assert np.allclose(merged.probs_for("img1"), [0.7, 0.3], atol=1e-15)
+    assert np.allclose(merged.aligned_to(["img1"])[0], [0.7, 0.3], atol=1e-15)
 
 
 def test_average_matches_brute_force(labels2):
@@ -280,18 +368,18 @@ def test_average_matches_brute_force(labels2):
         rows = []
         for image_id in ids:
             probs = rng.random(2) + 1e-6
-            rows.append((image_id, probs / probs.sum()))
-        tables.append(ProbTable(labels2, rows))
+            rows.append(probs / probs.sum())
+        tables.append(ProbTable(labels2, ids, rows))
     merged = average_prob_tables(tables)
     for image_id in ids:
         expected = [0.0, 0.0]
         for table in tables:
-            row = table.probs_for(image_id)
+            row = table.aligned_to([image_id])[0]
             expected[0] += row[0]
             expected[1] += row[1]
         expected = [value / 5 for value in expected]
-        assert np.allclose(merged.probs_for(image_id), expected, atol=1e-12)
-        assert abs(merged.probs_for(image_id).sum() - 1.0) <= 1e-3
+        assert np.allclose(merged.aligned_to([image_id])[0], expected, atol=1e-12)
+        assert abs(merged.aligned_to([image_id])[0].sum() - 1.0) <= 1e-3
 
 
 def test_average_keeps_first_table_order(labels2):
@@ -310,7 +398,7 @@ def test_average_rejects_id_mismatch(labels2):
 def test_average_rejects_catalog_mismatch(labels2):
     other = LabelSet(["SNE", "VLY"])
     a = _table(labels2, [("img1", [0.5, 0.5])])
-    b = ProbTable(other, [("img1", np.array([0.5, 0.5]))])
+    b = ProbTable(other, ["img1"], [[0.5, 0.5]])
     with pytest.raises(ValidationError, match="different label catalogs"):
         average_prob_tables([a, b])
 

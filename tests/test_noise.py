@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +5,7 @@ from hypothesis import strategies as st
 
 from wbcrescue.core import ValidationError
 from wbcrescue.morphology import luminance
-from wbcrescue.noise import (
-    _median_filter_3x3,
-    inject_salt_pepper,
-    noise_score,
-    partition_by_noise,
-)
+from wbcrescue.noise import _median_filter_3x3, inject_salt_pepper, noise_score
 
 
 def _rgb(gray_rows):
@@ -115,34 +108,6 @@ def test_score_is_flip_invariant():
     score = noise_score(image)
     assert noise_score(image[:, ::-1]) == pytest.approx(score, abs=1e-12)
     assert noise_score(image[::-1, :]) == pytest.approx(score, abs=1e-12)
-
-
-def test_partition_by_noise():
-    noisy, clean = partition_by_noise([("a", 0.1), ("b", 12.0)], threshold=5.0)
-    assert noisy == ["b"]
-    assert clean == ["a"]
-
-
-def test_partition_boundary_is_strict():
-    noisy, clean = partition_by_noise([("a", 0.0)], threshold=0.0)
-    assert noisy == []
-    assert clean == ["a"]
-
-
-def test_partition_matches_counting_oracle():
-    rng = np.random.default_rng(44)
-    scored = [(f"img{i}", float(rng.uniform(0, 30))) for i in range(200)]
-    threshold = 9.5
-    noisy, clean = partition_by_noise(scored, threshold)
-    assert len(noisy) == sum(1 for _, r in scored if r > threshold)
-    assert len(clean) == len(scored) - len(noisy)
-    assert noisy + clean != [] and set(noisy).isdisjoint(clean)
-
-
-def test_partition_rejects_negative_threshold():
-    for threshold in (-1.0, math.nan):
-        with pytest.raises(ValidationError, match="must be >= 0"):
-            partition_by_noise([("a", 1.0)], threshold=threshold)
 
 
 def test_inject_zero_density_is_identity():

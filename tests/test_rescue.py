@@ -204,17 +204,22 @@ class CountingSource:
             raise SampleNotFoundError(f"no sample {image_id!r}") from None
 
 
+def _table(ids, rows):
+    """A table of `rows` under `ids`; the reshape gives zero rows their K columns."""
+    return ProbTable(LABELS, ids, np.reshape(rows, (len(ids), K)))
+
+
 def _tables(rows_swin, rows_med):
-    swin = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_swin])
-    med = ProbTable(LABELS, [(i, _probs(p)) for i, p in rows_med])
+    swin = _table([i for i, _ in rows_swin], [_probs(p) for _, p in rows_swin])
+    med = _table([i for i, _ in rows_med], [_probs(p) for _, p in rows_med])
     return swin, med
 
 
 def _decide(p_swin, p_med, sample=None, config=None, gate_model=None, counts=None):
     source = CountingSource({} if sample is None else {"img": sample})
     [trace] = rescue_batch(
-        ProbTable(LABELS, [("img", p_swin)]),
-        ProbTable(LABELS, [("img", p_med)]),
+        ProbTable(LABELS, ["img"], [p_swin]),
+        ProbTable(LABELS, ["img"], [p_med]),
         source,
         counts or _counts(),
         gate_model,
@@ -374,20 +379,21 @@ def test_batch_skip_missing_denies_rescue(gate):
 def _random_batch(seed, n=120):
     rng = np.random.default_rng(seed)
     samples = {}
-    rows_swin, rows_med = [], []
+    ids, rows_swin, rows_med = [], [], []
     for i in range(n):
         image_id = f"img{i}"
+        ids.append(image_id)
         raw = rng.random(K) + 1e-9
-        rows_swin.append((image_id, raw / raw.sum()))
+        rows_swin.append(raw / raw.sum())
         raw = rng.random(K) + 1e-9
-        rows_med.append((image_id, raw / raw.sum()))
+        rows_med.append(raw / raw.sum())
         samples[image_id] = (
             _spiky_sample(image_id) if i % 2 else eccentric_cell(
                 nucleus_shift=float(rng.uniform(0, 4)), image_id=image_id
             )
         )
-    swin = ProbTable(LABELS, rows_swin)
-    med = ProbTable(LABELS, rows_med)
+    swin = ProbTable(LABELS, ids, rows_swin)
+    med = ProbTable(LABELS, ids, rows_med)
     return swin, med, samples
 
 
@@ -398,8 +404,8 @@ def test_batch_equals_sequential_application(gate):
     source = CountingSource(samples)
     batch = rescue_batch(swin, med, source, _counts(), gate, config, threads=4)
     assert batch == [
-        _oracle(image_id, p_swin, med.probs_for(image_id), source, boosts, gate, config)
-        for image_id, p_swin in swin
+        _oracle(image_id, p_swin, med.aligned_to([image_id])[0], source, boosts, gate, config)
+        for image_id, p_swin in zip(swin.ids, swin.matrix)
     ]
 
 
@@ -462,8 +468,9 @@ def test_batch_kernel_matches_per_row_oracle(gate, case):
     source = CountingSource(
         {image_id: _POOL[key] for image_id, _, _, key in rows if _POOL[key] is not None}
     )
-    swin = ProbTable(LABELS, [(image_id, p) for image_id, p, _, _ in rows])
-    med = ProbTable(LABELS, [(image_id, p) for image_id, _, p, _ in rows])
+    ids = [image_id for image_id, _, _, _ in rows]
+    swin = _table(ids, [p for _, p, _, _ in rows])
+    med = _table(ids, [p for _, _, p, _ in rows])
     expected = _outcome(lambda: [
         _oracle(image_id, p_swin, p_med, source, boosts, gate, config, skip_missing)
         for image_id, p_swin, p_med, _ in rows
