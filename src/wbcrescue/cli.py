@@ -51,13 +51,7 @@ from .morphology import (
     write_features_csv,
 )
 from .noise import inject_salt_pepper, noise_score
-from .rescue import (
-    FILTERED_CLASSES,
-    parallel_map,
-    rescue_batch,
-    write_predictions_csv,
-    write_trace_csv,
-)
+from .rescue import parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
 
 log = logging.getLogger("wbcrescue")
 
@@ -122,12 +116,6 @@ def _cmd_rescue(args) -> int:
     else:
         config = RescueConfig()
         config.validate_against(label_set)
-    unfiltered = sorted(config.rare_classes - FILTERED_CLASSES)
-    if unfiltered:
-        raise ValidationError(
-            f"rare classes without a shape filter: {unfiltered} "
-            f"(supported: {sorted(FILTERED_CLASSES)})"
-        )
     counts = parse_class_counts(args.counts, label_set)
     swin = parse_prob_table(args.swin, label_set)
     med = parse_prob_table(args.med, label_set)

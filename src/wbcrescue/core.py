@@ -29,13 +29,18 @@ DEFAULT_LABELS = (
     "WBC06", "WBC07", "WBC08", "WBC09", "WBC10", "WBC11", "WBC12", "WBC13",
 )
 
-DEFAULT_RARE_CLASSES = frozenset({"PLY", "PC"})
+# The rare classes that have a shape filter: irregular-contour screening
+# for prolymphocytes, distribution gating for plasma cells.
+SPIKY_CLASS = "PLY"
+GATED_CLASS = "PC"
+FILTERED_CLASSES = frozenset({SPIKY_CLASS, GATED_CLASS})
 
 
 class ValidationError(ValueError):
     """Bad input content or configuration; maps to CLI exit code 1."""
 
 
+@dataclass(frozen=True)
 class LabelSet:
     """Ordered, immutable catalog of class names.
 
@@ -43,10 +48,11 @@ class LabelSet:
     engine is indexed by a LabelSet; indices are stable for its lifetime.
     """
 
-    __slots__ = ("_names", "_index")
+    names: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+    def __post_init__(self):
+        names = tuple(self.names)
         if len(names) < 2:
             raise ValidationError("label catalog needs at least 2 classes")
         index: dict[str, int] = {}
@@ -56,12 +62,8 @@ class LabelSet:
             if name in index:
                 raise ValidationError(f"duplicate class name {name!r}")
             index[name] = position
-        self._names = names
-        self._index = index
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, name: str) -> ClassId:
         try:
@@ -70,27 +72,18 @@ class LabelSet:
             raise ValidationError(f"unknown class name {name!r}") from None
 
     def name_at(self, class_id: ClassId) -> str:
-        if not 0 <= class_id < len(self._names):
+        if not 0 <= class_id < len(self.names):
             raise ValidationError(f"class id {class_id} out of range")
-        return self._names[class_id]
+        return self.names[class_id]
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.names)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
+        return iter(self.names)
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabelSet) and self._names == other._names
-
-    def __hash__(self) -> int:
-        return hash(self._names)
-
-    def __repr__(self) -> str:
-        return f"LabelSet({list(self._names)!r})"
 
 
 @contextmanager
@@ -238,7 +231,7 @@ class RescueConfig:
     filter to always or never pass (used by ablation runs).
     """
 
-    rare_classes: frozenset[str] = DEFAULT_RARE_CLASSES
+    rare_classes: frozenset[str] = FILTERED_CLASSES
     boost_overrides: Mapping[str, float] = field(default_factory=dict)
     tau: float = 0.5
     tau_s: float = 0.15
@@ -271,6 +264,12 @@ class RescueConfig:
         for name in sorted(self.rare_classes):
             if name not in label_set:
                 raise ValidationError(f"rare class {name!r} not in label catalog")
+        unfiltered = sorted(self.rare_classes - FILTERED_CLASSES)
+        if unfiltered:
+            raise ValidationError(
+                f"rare classes without a shape filter: {unfiltered} "
+                f"(supported: {sorted(FILTERED_CLASSES)})"
+            )
 
 
 _CONFIG_KEYS = {"rare_classes", "tau", "tau_s", "tau_m", "boost_cap"}

@@ -162,38 +162,42 @@ def _distinct_points(points) -> np.ndarray:
     return pts[first]
 
 
-def convex_hull(points) -> np.ndarray:
-    """Monotone-chain convex hull of integer points, counterclockwise.
+def _chain(points: list[list[int]]) -> list[list[int]]:
+    """One monotone chain: each point in turn, after dropping the chain's
+    last points while they do not turn strictly left towards it."""
+    chain: list[list[int]] = []
+    for p in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _hull_of_distinct(pts: np.ndarray) -> np.ndarray:
+    """Monotone-chain hull of points already distinct and sorted by (x, y).
 
     A point between the lowest and the highest point of its column lies on
-    the segment joining them, so it is never a strict hull vertex; the chain
-    is given only those two points per column (the throw-away step of Akl &
-    Toussaint, IPL 1978) and returns the same vertices.
+    the segment joining them, so it is never a strict hull vertex (the
+    throw-away step of Akl & Toussaint, IPL 1978). The lower chain runs over
+    the column minima and up the last column, the upper chain back over the
+    column maxima and down the first column.
     """
-    pts = _distinct_points(points)
-    if len(pts) > 2:
-        column_edge = pts[1:, 0] != pts[:-1, 0]
-        extreme = np.ones(len(pts), dtype=bool)
-        extreme[1:-1] = column_edge[:-1] | column_edge[1:]
-        pts = pts[extreme]
-    pts = pts.tolist()
     if len(pts) <= 2:
-        return np.array(pts, dtype=np.int64)
-
-    def cross(o, a, b) -> int:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[list[int]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[list[int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+        return np.array(pts.tolist(), dtype=np.int64)
+    column_edge = pts[1:, 0] != pts[:-1, 0]
+    minima = pts[np.concatenate(([True], column_edge))].tolist()
+    maxima = pts[np.concatenate((column_edge, [True]))].tolist()
+    lower = _chain(minima + maxima[-1:])
+    upper = _chain(maxima[::-1] + minima[:1])
     return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+
+
+def convex_hull(points) -> np.ndarray:
+    """Monotone-chain convex hull of integer points, counterclockwise."""
+    return _hull_of_distinct(_distinct_points(points))
 
 
 def polygon_perimeter(points) -> float:
@@ -220,7 +224,7 @@ def spikiness(contour) -> float:
     distinct = _distinct_points(contour)
     if len(distinct) < 3:
         return 0.0
-    hull_perimeter = polygon_perimeter(convex_hull(distinct))
+    hull_perimeter = polygon_perimeter(_hull_of_distinct(distinct))
     if hull_perimeter <= 0.0:
         return 0.0
     return max(0.0, polygon_perimeter(contour) / hull_perimeter - 1.0)
@@ -329,43 +333,20 @@ def morph_vector(sample: CellSample) -> MorphVector:
     return MorphVector(area_nucleus / area_cytoplasm, staining, offset)
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
 def _invert_spd_3x3(matrix: np.ndarray, where: str) -> np.ndarray:
-    """Closed-form 3x3 inverse, guarded by Sylvester's criterion and a finite result."""
-    minor1 = float(matrix[0, 0])
-    minor2 = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    minor3 = _det3(matrix)
-    if minor1 <= 0.0 or minor2 <= 0.0 or minor3 <= 0.0:
+    """Closed-form 3x3 inverse, guarded by Sylvester's criterion and a finite result.
+
+    The adjugate's columns are the cross products of the rows; the
+    determinant expands the first row along the adjugate's first column, and
+    the leading 2x2 minor is the adjugate's last entry.
+    """
+    r0, r1, r2 = matrix
+    adjugate = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
+    det = r0[0] * adjugate[0, 0] + r0[1] * adjugate[1, 0] + r0[2] * adjugate[2, 0]
+    if r0[0] <= 0.0 or adjugate[2, 2] <= 0.0 or det <= 0.0:
         raise ValidationError(f"{where}: degenerate covariance")
-    m = matrix
-    cofactors = np.array(
-        [
-            [
-                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
-                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
-            ],
-            [
-                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
-                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
-            ],
-            [
-                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
-                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
-            ],
-        ]
-    )
     with np.errstate(over="ignore"):
-        inverse = cofactors / minor3
+        inverse = adjugate / det
     if not np.all(np.isfinite(inverse)):
         raise ValidationError(f"{where}: degenerate covariance")
     return inverse

@@ -10,30 +10,32 @@ from .core import ValidationError
 from .morphology import luminance
 
 
-# Paeth's median-of-9 exchange network (Graphics Gems, 1990, in the order
-# of Devillard's "Fast median search", 1998): after these 19 compare-exchanges
-# slot 4 holds the median. Each exchange only moves values, so the result is
-# one of the nine inputs bit for bit, as the median of an odd count is.
-_MEDIAN9_EXCHANGES = (
-    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
-    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4),
-    (4, 2),
-)
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
 def _median_filter_3x3(values: np.ndarray) -> np.ndarray:
-    """3x3 median with replicate border padding."""
+    """3x3 median with replicate border padding.
+
+    Each vertical triple of the padded plane is sorted once, with three
+    compare-exchanges. A window's median is then the median of the largest
+    of its three column minima, the median of its column medians and the
+    smallest of its column maxima. Only minima and maxima are taken, so the
+    result is one of the nine inputs bit for bit, as the median of an odd
+    count is.
+    """
     padded = np.pad(values, 1, mode="edge")
     height, width = values.shape
-    slots = [
-        padded[dy : dy + height, dx : dx + width]
-        for dy in range(3)
-        for dx in range(3)
-    ]
-    for a, b in _MEDIAN9_EXCHANGES:
-        low, high = np.minimum(slots[a], slots[b]), np.maximum(slots[a], slots[b])
-        slots[a], slots[b] = low, high
-    return slots[4]
+    top, middle, bottom = (padded[dy : dy + height] for dy in range(3))
+    low, high = np.minimum(top, middle), np.maximum(top, middle)
+    middle, high = np.minimum(high, bottom), np.maximum(high, bottom)
+    low, middle = np.minimum(low, middle), np.maximum(low, middle)
+    left, centre, right = (np.s_[:, dx : dx + width] for dx in range(3))
+    return _median3(
+        np.maximum(np.maximum(low[left], low[centre]), low[right]),
+        _median3(middle[left], middle[centre], middle[right]),
+        np.minimum(np.minimum(high[left], high[centre]), high[right]),
+    )
 
 
 def noise_score(pixels) -> float:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    GATED_CLASS,
+    SPIKY_CLASS,
     ClassCounts,
     DecisionTrace,
     LabelSet,
@@ -94,13 +96,6 @@ class Phase3Result:
     spikiness: float | None = None
     mahalanobis: float | None = None
     error: str | None = None
-
-
-# Shape filters are keyed by class name: irregular-contour screening for
-# prolymphocytes, distribution gating for plasma cells.
-SPIKY_CLASS = "PLY"
-GATED_CLASS = "PC"
-FILTERED_CLASSES = frozenset({SPIKY_CLASS, GATED_CLASS})
 
 
 def phase3_filter(

@@ -230,6 +230,9 @@ def test_config_file_rejects_unknown_rare_class(tmp_path, labels13):
     path.write_text("rare_classes = PLY,XXX\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="not in label catalog"):
         parse_config_file(path, labels13)
+    path.write_text("rare_classes = PLY,VLY\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="without a shape filter"):
+        parse_config_file(path, labels13)
 
 
 def test_config_file_rejects_bad_number(tmp_path, labels13):

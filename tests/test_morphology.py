@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbcrescue.core import ValidationError
@@ -10,6 +10,7 @@ from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
     _NEXT_DIRECTION,
     _best_threshold_split,
+    _invert_spd_3x3,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
@@ -770,6 +771,92 @@ def test_precision_inverts_ridged_covariance():
     gate = fit_gaussian_gate(data)
     product = gate.precision @ (gate.covariance + gate.ridge * np.eye(3))
     assert np.abs(product - np.eye(3)).max() < 1e-6
+
+
+def _det3_reference(m):
+    return float(
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+def _invert_spd_3x3_reference(matrix, where):
+    """The nine cofactors written out: the oracle for the adjugate built from
+    cross products of the rows."""
+    minor1 = float(matrix[0, 0])
+    minor2 = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
+    minor3 = _det3_reference(matrix)
+    if minor1 <= 0.0 or minor2 <= 0.0 or minor3 <= 0.0:
+        raise ValidationError(f"{where}: degenerate covariance")
+    m = matrix
+    cofactors = np.array(
+        [
+            [
+                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
+                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
+                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
+            ],
+            [
+                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
+                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
+                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
+            ],
+            [
+                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
+                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
+                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
+            ],
+        ]
+    )
+    with np.errstate(over="ignore"):
+        inverse = cofactors / minor3
+    if not np.all(np.isfinite(inverse)):
+        raise ValidationError(f"{where}: degenerate covariance")
+    return inverse
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric 3x3 matrices: F F^T for a random factor F (positive
+    definite, or singular when a row of F repeats another), or F + F^T
+    (often indefinite). F's entries are scaled by powers of ten from 1e-150
+    to 1e150 around a common exponent, so that the adjugate's products
+    underflow, overflow or lose the minors to rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponent = draw(st.one_of(st.integers(-40, 40), st.integers(-150, 150)))
+    spread = draw(st.integers(0, 12))
+    offsets = rng.integers(-spread, spread + 1, size=(3, 3))
+    scales = 10.0 ** np.clip(exponent + offsets, -150, 150)
+    factor = rng.normal(size=(3, 3)) * scales
+    kind = draw(st.sampled_from(["definite", "definite", "singular", "indefinite"]))
+    if kind == "singular":
+        factor[2] = factor[rng.integers(2)]
+    matrix = factor + factor.T if kind == "indefinite" else factor @ factor.T
+    return (matrix + matrix.T) / 2.0
+
+
+def _inverse_outcome(invert, matrix):
+    with np.errstate(all="ignore"):
+        try:
+            return invert(matrix, "cov").tobytes()
+        except ValidationError as exc:
+            return str(exc)
+
+
+@given(_symmetric_matrices())
+@settings(max_examples=500, deadline=None)
+@example(np.diag([1e10, 1e-310, 1.0]))  # the inverse overflows
+@example(np.diag([1e-310, 1e-310, 1e-310]))  # the minors underflow to 0
+@example(np.diag([1e200, 1e200, 1e200]))  # the minors overflow to inf
+@example(np.diag([1.0, -1.0, -1.0]))  # det > 0, but the leading 2x2 minor is not
+@example(np.zeros((3, 3)))
+@example(np.ones((3, 3)))
+@example(np.eye(3))
+def test_gate_inverse_matches_cofactor_reference(matrix):
+    assert _inverse_outcome(_invert_spd_3x3, matrix) == _inverse_outcome(
+        _invert_spd_3x3_reference, matrix
+    )
 
 
 def test_mahalanobis_at_mean_is_zero():

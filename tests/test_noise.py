@@ -33,7 +33,7 @@ def _naive_median_residual(gray):
 
 def _stacked_median_reference(values):
     """np.median over the 9 edge-padded shifted views: the oracle for the
-    exchange network."""
+    median from sorted columns."""
     padded = np.pad(values, 1, mode="edge")
     height, width = values.shape
     windows = np.stack(
@@ -44,6 +44,31 @@ def _stacked_median_reference(values):
         ]
     )
     return np.median(windows, axis=0)
+
+
+# Paeth's median-of-9 exchange network (Graphics Gems, 1990, in the order
+# of Devillard's "Fast median search", 1998): after these 19 compare-exchanges
+# slot 4 holds the median.
+_MEDIAN9_EXCHANGES = (
+    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
+    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4),
+    (4, 2),
+)
+
+
+def _exchange_network_reference(values):
+    """The exchange network over the nine shifted views: a second oracle,
+    which like the filter only moves values."""
+    padded = np.pad(values, 1, mode="edge")
+    height, width = values.shape
+    slots = [
+        padded[dy : dy + height, dx : dx + width]
+        for dy in range(3)
+        for dx in range(3)
+    ]
+    for a, b in _MEDIAN9_EXCHANGES:
+        slots[a], slots[b] = np.minimum(slots[a], slots[b]), np.maximum(slots[a], slots[b])
+    return slots[4]
 
 
 @st.composite
@@ -71,7 +96,9 @@ def _luminance_planes(draw):
 @given(_luminance_planes())
 @settings(max_examples=300, deadline=None)
 def test_median_network_matches_stacked_median(values):
-    assert np.array_equal(_median_filter_3x3(values), _stacked_median_reference(values))
+    median = _median_filter_3x3(values)
+    assert np.array_equal(median, _stacked_median_reference(values))
+    assert median.tobytes() == _exchange_network_reference(values).tobytes()
 
 
 def test_constant_image_scores_zero():

@@ -376,6 +376,17 @@ def test_batch_skip_missing_denies_rescue(gate):
     assert "no sample" in traces[0].error
 
 
+def test_batch_rejects_unfilterable_rare_class_before_loading(gate):
+    # The row's candidate is PLY, which has a filter; VLY has none, and the
+    # run fails on the configuration, not on whichever row reaches phase 3.
+    swin, med = _tables([("a", {LY: 0.5, PLY: 0.12})], [("a", {PLY: 0.9})])
+    source = CountingSource({"a": _spiky_sample("a")})
+    config = RescueConfig(rare_classes={"PLY", "VLY"})
+    with pytest.raises(ValidationError, match=r"without a shape filter: \['VLY'\]"):
+        rescue_batch(swin, med, source, _counts(), gate, config)
+    assert source.loads == 0
+
+
 def _random_batch(seed, n=120):
     rng = np.random.default_rng(seed)
     samples = {}
