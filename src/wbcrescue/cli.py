@@ -3,7 +3,9 @@ calibrate-spikiness, features, noise-score, inject-noise, evaluate.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 I/O error.
 Output files are written to a temporary sibling path and renamed into
-place, so failures never leave partial outputs behind.
+place, so failures never leave partial outputs behind; when one image of
+`inject-noise` fails, the copies it already wrote and the directories it
+made are removed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import zlib
 # Unused here; kept bound because perfbench/tracing.py patches cli.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .core import (
@@ -50,7 +52,7 @@ from .morphology import (
     trace_contour,
     write_features_csv,
 )
-from .noise import inject_salt_pepper, noise_score
+from .noise import check_salt_pepper_rates, inject_salt_pepper, noise_score
 from .rescue import parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
 
 log = logging.getLogger("wbcrescue")
@@ -203,19 +205,33 @@ def _cmd_noise_score(args) -> int:
 
 
 def _cmd_inject_noise(args) -> int:
+    check_salt_pepper_rates(args.density, args.salt_ratio)
     out_dir = Path(args.out)
     ids = list_image_ids(args.images)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
 
     def corrupt(image_id: str):
         pixels = read_image_rgb(find_image(args.images, image_id))
         noisy = inject_salt_pepper(
             pixels, args.density, args.salt_ratio, _derive_seed(args.seed, image_id)
         )
-        with _atomic(out_dir / (image_id + ".ppm")) as tmp:
+        target = out_dir / (image_id + ".ppm")
+        with _atomic(target) as tmp:
             write_pnm(tmp, noisy)
+        written.append(target)
 
-    parallel_map(corrupt, ids, args.threads)
+    try:
+        # The pool has finished every image by the time an error surfaces here.
+        parallel_map(corrupt, ids, args.threads)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory someone else wrote to stays
+            for directory in created:
+                directory.rmdir()
+        raise
     return 0
 
 

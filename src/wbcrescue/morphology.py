@@ -36,17 +36,22 @@ def largest_foreground_component(mask) -> np.ndarray:
     rows that touch are merged with union-find. Each merge keeps the lower
     run index as the root, so a component's root is its first run in
     row-major order and `argmax` over the per-root sizes applies the tie rule.
+
+    The runs are read from flat indices of the `(H, W + 1)` edge array, one
+    row-major pass each for starts and ends; a run's start and exclusive end
+    lie in the same row, so its length is the difference of their indices.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValidationError("mask must be a 2-D array")
     if not mask.any():
         raise ValidationError("empty mask")
-    height = mask.shape[0]
+    height, width = mask.shape
     edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]  # exclusive, paired with starts in order
-    lengths = ends - starts
+    first = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - first  # ends are paired with starts in order
+    rows, starts = np.divmod(first, width + 1)
+    ends = starts + lengths
     row_first = np.searchsorted(rows, np.arange(height + 1)).tolist()
     s, e = starts.tolist(), ends.tolist()
     parent = list(range(len(s)))
@@ -75,6 +80,8 @@ def largest_foreground_component(mask) -> np.ndarray:
             else:
                 j += 1
     roots = np.array([find(k) for k in range(len(s))])
+    if not roots.any():  # every run joined run 0: the mask is one component
+        return mask.copy()
     sizes = np.bincount(roots, weights=lengths)
     keep = roots == int(np.argmax(sizes))
     # The runs list the foreground pixels in row-major order, as the mask does.
@@ -271,18 +278,16 @@ def _luminance_at(sample: CellSample, flat) -> np.ndarray:
     return luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
 
 
-def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
-    """Partition foreground pixels into nucleus and cytoplasm by luminance.
+def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample's foreground gathered once and split by 2-means.
 
-    The optimal 1-D 2-means partition is always a threshold, so this takes
-    the threshold between distinct luminances with the least within-cluster
-    sum of squares; when two thresholds cost the same, the lower one wins.
-
-    Returns (nucleus_mask, cytoplasm_mask); the darker cluster is the
-    nucleus and the two masks partition the foreground.
+    Returns the flat row-major indices of the foreground pixels, their
+    luminance, and the flags of the darker cluster, all in that order. The
+    optimal 1-D 2-means partition is always a threshold, so this takes the
+    threshold between distinct luminances with the least within-cluster sum
+    of squares; when two thresholds cost the same, the lower one wins.
     """
-    foreground = np.asarray(sample.mask, dtype=bool)
-    flat = np.flatnonzero(foreground)
+    flat = np.flatnonzero(np.asarray(sample.mask, dtype=bool))
     if flat.size == 0:
         raise ValidationError(f"{sample.image_id}: empty mask")
     values = _luminance_at(sample, flat)
@@ -292,10 +297,21 @@ def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
     if sorted_values[0] == sorted_values[-1]:
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
     cut = sorted_values[_best_threshold_split(sorted_values) - 1]
-    nucleus = np.zeros(foreground.size, dtype=bool)
-    nucleus[flat[values <= cut]] = True
-    nucleus_mask = nucleus.reshape(foreground.shape)
-    return nucleus_mask, foreground & ~nucleus_mask
+    return flat, values, values <= cut
+
+
+def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
+    """Partition foreground pixels into nucleus and cytoplasm by luminance.
+
+    The least-cost luminance threshold splits the foreground; see
+    `_foreground_split`. Returns (nucleus_mask, cytoplasm_mask); the darker
+    cluster is the nucleus and the two masks partition the foreground.
+    """
+    flat, _, dark = _foreground_split(sample)
+    foreground = np.asarray(sample.mask, dtype=bool)
+    nucleus = np.zeros(foreground.shape, dtype=bool)
+    nucleus.ravel()[flat[dark]] = True  # a new C-ordered array ravels to a view
+    return nucleus, foreground & ~nucleus
 
 
 class MorphVector(NamedTuple):
@@ -310,23 +326,20 @@ class MorphVector(NamedTuple):
 def morph_vector(sample: CellSample) -> MorphVector:
     """Extract the 3-component shape vector from one segmented cell.
 
-    Pixels are addressed by their flat row-major index, so each mean sees
-    its values in the order a boolean-mask selection would give them.
+    Every term comes from one foreground split. Pixels are addressed by
+    their flat row-major index, so each mean sees its values in the order a
+    boolean-mask selection would give them.
     """
-    nucleus_mask, cytoplasm_mask = kmeans2_luminance(sample)
-    nucleus = np.flatnonzero(nucleus_mask)
-    cytoplasm = np.flatnonzero(cytoplasm_mask)
-    area_nucleus = len(nucleus)
-    area_cytoplasm = len(cytoplasm)
+    flat, values, dark = _foreground_split(sample)
+    area_cell = len(flat)
+    area_nucleus = int(np.count_nonzero(dark))
+    area_cytoplasm = area_cell - area_nucleus
     if area_nucleus == 0 or area_cytoplasm == 0:
         raise ValidationError(f"{sample.image_id}: degenerate segmentation")
-    staining = float(_luminance_at(sample, cytoplasm).mean()) / 255.0
-    width = nucleus_mask.shape[1]
-    ys, xs = np.divmod(np.flatnonzero(sample.mask), width)
+    staining = float(values[~dark].mean()) / 255.0
+    ys, xs = np.divmod(flat, np.shape(sample.mask)[1])
     cell_centroid = np.array([xs.mean(), ys.mean()])
-    nys, nxs = np.divmod(nucleus, width)
-    nucleus_centroid = np.array([nxs.mean(), nys.mean()])
-    area_cell = len(xs)
+    nucleus_centroid = np.array([xs[dark].mean(), ys[dark].mean()])
     equivalent_radius = math.sqrt(area_cell / math.pi)
     delta = nucleus_centroid - cell_centroid
     offset = float(np.hypot(delta[0], delta[1])) / equivalent_radius

@@ -48,6 +48,14 @@ def noise_score(pixels) -> float:
     return float(np.abs(lum - _median_filter_3x3(lum)).mean())
 
 
+def check_salt_pepper_rates(density: float, salt_ratio: float) -> None:
+    """Raise unless both rates of `inject_salt_pepper` are probabilities."""
+    if not 0.0 <= density <= 1.0:
+        raise ValidationError(f"density must lie in [0, 1], got {density}")
+    if not 0.0 <= salt_ratio <= 1.0:
+        raise ValidationError(f"salt_ratio must lie in [0, 1], got {salt_ratio}")
+
+
 def inject_salt_pepper(
     pixels,
     density: float,
@@ -60,10 +68,7 @@ def inject_salt_pepper(
     becomes white with probability `salt_ratio`, else black. The same
     (image, density, salt_ratio, seed) always produces the same output.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValidationError(f"density must lie in [0, 1], got {density}")
-    if not 0.0 <= salt_ratio <= 1.0:
-        raise ValidationError(f"salt_ratio must lie in [0, 1], got {salt_ratio}")
+    check_salt_pepper_rates(density, salt_ratio)
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValidationError("expected an (H, W, 3) image")

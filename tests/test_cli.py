@@ -348,6 +348,55 @@ def test_inject_noise_is_order_independent_per_image(tmp_path):
     assert (out_a / "x.ppm").read_bytes() == (out_b / "x.ppm").read_bytes()
 
 
+def _images_with_truncated_c2(directory):
+    directory.mkdir()
+    rng = np.random.default_rng(8)
+    for image_id in ("c0", "c1", "c2", "c3"):
+        write_pnm(directory / f"{image_id}.ppm", rng.integers(0, 256, (6, 6, 3), dtype=np.uint8))
+    path = directory / "c2.ppm"
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_inject_noise_failure_removes_its_outputs(tmp_path, capsys, threads):
+    images = tmp_path / "images"
+    _images_with_truncated_c2(images)
+    fresh = tmp_path / "made" / "noisy"
+    args = ["--threads", threads, "inject-noise", "--images", str(images), "--density", "0.2"]
+    assert run([*args, "--out", str(fresh)]) == 1
+    assert "c2.ppm" in capsys.readouterr().err
+    assert not (tmp_path / "made").exists()
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "keep.txt").write_text("kept\n")
+    (existing / "c0.ppm").write_text("stale\n")  # overwritten by the run, then removed
+    assert run([*args, "--out", str(existing)]) == 1
+    assert sorted(p.name for p in existing.iterdir()) == ["keep.txt"]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--density", "1.5", "density must lie in [0, 1], got 1.5"),
+        ("--salt-ratio", "-0.1", "salt_ratio must lie in [0, 1], got -0.1"),
+    ],
+)
+@pytest.mark.parametrize("image_count", [0, 1])
+def test_inject_noise_checks_rates_before_creating_out(
+    tmp_path, capsys, option, value, message, image_count
+):
+    images = tmp_path / "images"
+    images.mkdir()
+    for index in range(image_count):
+        write_pnm(images / f"x{index}.ppm", np.full((4, 4, 3), 90, dtype=np.uint8))
+    out = tmp_path / "noisy"
+    args = ["inject-noise", "--images", str(images), "--out", str(out), "--density", "0.2"]
+    assert run([*args, option, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_threads_do_not_change_rescue_output(corpus, tmp_path):
     paths, gate_path, config_path = corpus
     outputs = []

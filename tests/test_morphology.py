@@ -167,13 +167,109 @@ def _checkerboard():
     return mask, mask.copy()
 
 
+def _labelling_2d_reference(mask):
+    """Run-based labelling with runs found by two 2-D `np.nonzero` passes
+    and scattered back even when one component is the whole mask: the
+    oracle for the labelling from flat run indices."""
+    mask = np.asarray(mask, dtype=bool)
+    height = mask.shape[0]
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    lengths = ends - starts
+    row_first = np.searchsorted(rows, np.arange(height + 1)).tolist()
+    s, e = starts.tolist(), ends.tolist()
+    parent = list(range(len(s)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for y in range(1, height):
+        i, i_stop = row_first[y - 1], row_first[y]
+        j, j_stop = i_stop, row_first[y + 1]
+        while i < i_stop and j < j_stop:
+            if s[j] <= e[i] and s[i] <= e[j]:
+                a, b = find(i), find(j)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+            if e[i] <= e[j]:
+                i += 1
+            else:
+                j += 1
+    roots = np.array([find(k) for k in range(len(s))])
+    sizes = np.bincount(roots, weights=lengths)
+    keep = roots == int(np.argmax(sizes))
+    component = np.zeros_like(mask)
+    component[mask] = np.repeat(keep, lengths)
+    return component
+
+
+@given(_random_masks())
+@settings(max_examples=300, deadline=None)
+def test_labelling_matches_2d_run_reference(mask):
+    component = largest_foreground_component(mask)
+    assert component.dtype == bool
+    assert np.array_equal(component, _labelling_2d_reference(mask))
+
+
+def _runs_in_last_column():
+    """A triangle of runs that each end in the last column, beside a
+    larger block that wins."""
+    mask = np.zeros((6, 9), dtype=bool)
+    mask[0, 8] = mask[1, 7:] = mask[2, 6:] = True
+    mask[4:6, 0:6] = True
+    expected = np.zeros_like(mask)
+    expected[4:6, 0:6] = True
+    return mask, expected
+
+
+def _single_row():
+    mask = np.array([[1, 1, 0, 1, 1, 1, 0, 0, 1]], dtype=bool)
+    expected = np.array([[0, 0, 0, 1, 1, 1, 0, 0, 0]], dtype=bool)
+    return mask, expected
+
+
+def _single_column():
+    mask, expected = _single_row()
+    return mask.T.copy(), expected.T.copy()
+
+
+def _all_true():
+    mask = np.ones((5, 7), dtype=bool)
+    return mask, mask.copy()
+
+
 @pytest.mark.parametrize(
-    "case", [_u_beside_inner_blob, _plus_touching_all_borders, _checkerboard]
+    "case",
+    [
+        _u_beside_inner_blob, _plus_touching_all_borders, _checkerboard,
+        _runs_in_last_column, _single_row, _single_column, _all_true,
+    ],
 )
 def test_labelling_explicit_cases(case):
     mask, expected = case()
     assert np.array_equal(largest_foreground_component(mask), expected)
     assert np.array_equal(_flood_fill_reference(mask), expected)
+    assert np.array_equal(_labelling_2d_reference(mask), expected)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.ones((5, 7), dtype=bool), np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+     _checkerboard()[0], disc_mask(16, 6.0)],
+)
+def test_one_component_result_is_a_new_array(mask):
+    before = mask.copy()
+    component = largest_foreground_component(mask)
+    assert not np.shares_memory(component, mask)
+    assert component.flags.writeable
+    component[...] = False
+    assert np.array_equal(mask, before)
 
 
 def test_labelling_accepts_uint8_0_255_mask():
@@ -692,6 +788,96 @@ def test_morph_vector_matches_full_image_reference(sample):
     else:
         assert all(np.array_equal(a, b) for a, b in zip(masks, expected))
     assert _outcome(morph_vector, sample) == _outcome(_morph_vector_reference, sample)
+
+
+def _morph_vector_from_masks_reference(sample):
+    """The shape vector read back from `kmeans2_luminance`'s two masks, each
+    term gathered by its own flat-index pass: the oracle for the vector taken
+    from one shared foreground split."""
+    nucleus_mask, cytoplasm_mask = kmeans2_luminance(sample)
+    nucleus = np.flatnonzero(nucleus_mask)
+    cytoplasm = np.flatnonzero(cytoplasm_mask)
+    area_nucleus = len(nucleus)
+    area_cytoplasm = len(cytoplasm)
+    if area_nucleus == 0 or area_cytoplasm == 0:
+        raise ValidationError(f"{sample.image_id}: degenerate segmentation")
+    gathered = np.asarray(sample.pixels).reshape(-1, 3).take(cytoplasm, axis=0)
+    staining = float(luminance(gathered).mean()) / 255.0
+    width = nucleus_mask.shape[1]
+    ys, xs = np.divmod(np.flatnonzero(sample.mask), width)
+    cell_centroid = np.array([xs.mean(), ys.mean()])
+    nys, nxs = np.divmod(nucleus, width)
+    nucleus_centroid = np.array([nxs.mean(), nys.mean()])
+    equivalent_radius = math.sqrt(len(xs) / math.pi)
+    delta = nucleus_centroid - cell_centroid
+    offset = float(np.hypot(delta[0], delta[1])) / equivalent_radius
+    return MorphVector(area_nucleus / area_cytoplasm, staining, offset)
+
+
+def _bits_or_message(fn, sample):
+    outcome = _outcome(fn, sample)
+    return outcome if isinstance(outcome, str) else np.array(outcome, dtype=np.float64).tobytes()
+
+
+def _rgb_cell(rgb, mask, image_id="cell"):
+    rgb = np.asarray(rgb, dtype=np.uint8)
+    return CellSample(image_id, np.broadcast_to(rgb, (*mask.shape, 3)).copy(), mask)
+
+
+def _one_dark_pixel():
+    mask = disc_mask(9, 3.5)
+    sample = _rgb_cell([200, 180, 190], mask)
+    sample.pixels[4, 4] = 20
+    return sample
+
+
+def _equal_luminance_colours():
+    # (0, 31, 0) and (1, 0, 157) differ, but their Rec.601 luminances are
+    # the same float64: one luminance cluster.
+    mask = np.ones((3, 4), dtype=bool)
+    sample = _rgb_cell([0, 31, 0], mask)
+    sample.pixels[1:, 2:] = [1, 0, 157]
+    return sample
+
+
+def _column_major_cell():
+    sample = eccentric_cell(nucleus_shift=2.0)
+    return CellSample(
+        "cell", np.asfortranarray(sample.pixels), np.asfortranarray(sample.mask)
+    )
+
+
+@given(_textured_cells())
+@settings(max_examples=300, deadline=None)
+@example(_rgb_cell([90, 90, 90], np.zeros((4, 5), dtype=bool)))  # empty mask
+@example(_rgb_cell([90, 90, 90], np.eye(1, 6, 3, dtype=bool)))  # one pixel
+@example(_rgb_cell([90, 90, 90], disc_mask(8, 3.0)))  # flat luminance
+@example(_equal_luminance_colours())
+@example(_one_dark_pixel())
+@example(_column_major_cell())
+def test_morph_vector_matches_mask_reference(sample):
+    got = _bits_or_message(morph_vector, sample)
+    assert got == _bits_or_message(_morph_vector_from_masks_reference, sample)
+    if not isinstance(got, str):
+        nucleus, cytoplasm = kmeans2_luminance(sample)
+        nc_ratio = int(nucleus.sum()) / int(cytoplasm.sum())
+        assert morph_vector(sample).nc_ratio == nc_ratio
+
+
+def test_morph_vector_messages_name_the_cell():
+    cases = [
+        (_rgb_cell([90, 90, 90], np.zeros((4, 5), dtype=bool), "a"), "a: empty mask"),
+        (_rgb_cell([90, 90, 90], np.eye(1, 6, 3, dtype=bool), "b"),
+         "b: need at least 2 foreground pixels to cluster"),
+        (_rgb_cell([90, 90, 90], disc_mask(8, 3.0), "c"), "c: degenerate luminance distribution"),
+    ]
+    for sample, message in cases:
+        for fn in (morph_vector, kmeans2_luminance):
+            with pytest.raises(ValidationError) as info:
+                fn(sample)
+            assert str(info.value) == message
+    equal = _equal_luminance_colours()
+    assert _outcome(morph_vector, equal) == "cell: degenerate luminance distribution"
 
 
 def test_morph_vector_matches_reference_on_large_textured_cells():

@@ -14,7 +14,13 @@ from wbcrescue.core import (
     default_label_set,
 )
 from wbcrescue.ingest import ProbTable, SampleNotFoundError
-from wbcrescue.morphology import fit_gaussian_gate
+from wbcrescue.morphology import (
+    fit_gaussian_gate,
+    kmeans2_luminance,
+    morph_vector,
+    spikiness,
+    trace_contour,
+)
 from wbcrescue.rescue import (
     BoostFactors,
     compute_boost_factors,
@@ -176,6 +182,22 @@ def test_phase3_unmeasurable_sample_fails_closed(gate):
     result = phase3_filter("PC", flat, gate, RescueConfig())
     assert not result.passed
     assert "degenerate luminance" in result.error
+
+
+@pytest.mark.parametrize("make", [_spiky_sample, _round_sample])
+def test_shape_filters_keep_no_state_on_the_sample(gate, make):
+    sample = make()
+    attributes = dict(vars(sample))
+    pixels, mask = sample.pixels.tobytes(), sample.mask.tobytes()
+    spikiness(trace_contour(sample.mask))
+    kmeans2_luminance(sample)
+    morph_vector(sample)
+    for name in ("PLY", "PC"):
+        phase3_filter(name, sample, gate, RescueConfig())
+    assert vars(sample).keys() == attributes.keys()
+    assert all(vars(sample)[key] is value for key, value in attributes.items())
+    assert sample.pixels.tobytes() == pixels
+    assert sample.mask.tobytes() == mask
 
 
 def test_phase3_requires_gate_for_pc():
