@@ -208,6 +208,11 @@ def _cmd_inject_noise(args) -> int:
     check_salt_pepper_rates(args.density, args.salt_ratio)
     out_dir = Path(args.out)
     ids = list_image_ids(args.images)
+    if out_dir.exists() and os.path.samefile(out_dir, args.images):
+        raise ValidationError(
+            f"--out {args.out} is the --images directory; the noisy copies would "
+            "overwrite the originals"
+        )
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -167,25 +167,35 @@ def load_label_file(path) -> LabelSet:
     return LabelSet(names)
 
 
-def normalize_probs(values, *, where: str = "probability vector") -> np.ndarray:
-    """Validate a raw probability row and renormalize it to sum exactly 1.
+def normalize_probs(
+    matrix, *, where: Callable[[int], str] = "probability row {}".format
+) -> np.ndarray:
+    """Validate an (N, K) matrix of raw probability rows and renormalize each
+    row to sum exactly 1, as a new read-only matrix.
 
-    Entries must lie in [0, 1 + ENTRY_EPSILON] and the sum must be within
-    SUM_DELTA of 1; larger drift is treated as a corrupt row, not noise.
+    Entries must be finite and lie in [0, 1 + ENTRY_EPSILON], and each row
+    sum must be within SUM_DELTA of 1; larger drift is treated as a corrupt
+    row, not noise. The first bad row raises ValidationError, prefixed with
+    `where(row)`, for the first check it fails in that order.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError(f"{where}: expected a vector of at least 2 probabilities")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{where}: non-finite probability value")
-    if np.any(arr < 0.0) or np.any(arr > 1.0 + ENTRY_EPSILON):
-        raise ValidationError(f"{where}: probability entry out of range [0, 1]")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_DELTA:
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValidationError("expected an (N, K) matrix of at least 2 probabilities per row")
+    finite = np.isfinite(arr).all(axis=1)
+    in_range = ((arr >= 0.0) & (arr <= 1.0 + ENTRY_EPSILON)).all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # only in rows that fail a check above
+        totals = arr.sum(axis=1)
+    bad = np.flatnonzero(~(finite & in_range & (np.abs(totals - 1.0) <= SUM_DELTA)))
+    if bad.size:
+        row = int(bad[0])
+        if not finite[row]:
+            raise ValidationError(f"{where(row)}: non-finite probability value")
+        if not in_range[row]:
+            raise ValidationError(f"{where(row)}: probability entry out of range [0, 1]")
         raise ValidationError(
-            f"{where}: probability sum out of tolerance (got {total:.6f})"
+            f"{where(row)}: probability sum out of tolerance (got {totals[row]:.6f})"
         )
-    out = arr / total
+    out = arr / totals[:, None]
     out.flags.writeable = False
     return out
 

@@ -3,6 +3,7 @@ plus arithmetic-mean fusion of multiple probability tables."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -52,31 +53,45 @@ class ProbTable:
 def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     """Parse a probability CSV with header `image_id,<class1>,...,<classK>`.
 
-    Rows are validated and renormalized to sum exactly 1; row order is
-    preserved. Errors name the file, line, and offending column.
+    Rows are validated together and renormalized to sum exactly 1; row order
+    is preserved. Errors name the file, line, and offending column; when
+    several rows are bad, the earliest one is reported.
     """
+    width = len(label_set)
     ids: list[str] = []
-    rows: list[np.ndarray] = []
+    lines = array("q")
+    values = array("d")
     seen: set[str] = set()
-    for lineno, row in read_csv(path, ["image_id", *label_set.names]):
-        image_id = row[0]
-        if not image_id:
-            raise ValidationError(f"{path}:{lineno}: empty image_id")
-        if image_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        values = np.empty(len(label_set), dtype=np.float64)
-        for column, cell in enumerate(row[1:]):
-            try:
-                values[column] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: column {label_set.name_at(column)}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-        ids.append(image_id)
-        rows.append(normalize_probs(values, where=f"{path}:{lineno}"))
-    return ProbTable(label_set, ids, np.reshape(rows, (len(ids), len(label_set))))
+    try:
+        for lineno, row in read_csv(path, ["image_id", *label_set.names]):
+            image_id = row[0]
+            if not image_id:
+                raise ValidationError(f"{path}:{lineno}: empty image_id")
+            if image_id in seen:
+                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            seen.add(image_id)
+            for column, cell in enumerate(row[1:]):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{lineno}: column {label_set.name_at(column)}: "
+                        f"non-numeric value {cell!r}"
+                    ) from None
+            ids.append(image_id)
+            lines.append(lineno)
+    except ValidationError:
+        # A bad row read before this error wins, so check those rows first,
+        # without the cells of a row cut short by a non-numeric one.
+        del values[len(ids) * width:]
+        _check_prob_rows(path, lines, values, width)
+        raise
+    return ProbTable(label_set, ids, _check_prob_rows(path, lines, values, width))
+
+
+def _check_prob_rows(path, lines, values, width: int) -> np.ndarray:
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+    return normalize_probs(matrix, where=lambda row: f"{path}:{lines[row]}")
 
 
 def write_prob_table(path, table: ProbTable) -> None:

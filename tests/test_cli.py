@@ -375,6 +375,25 @@ def test_inject_noise_failure_removes_its_outputs(tmp_path, capsys, threads):
     assert sorted(p.name for p in existing.iterdir()) == ["keep.txt"]
 
 
+@pytest.mark.parametrize("spelling", ["plain", "dot", "symlink"])
+@pytest.mark.parametrize("truncated", [False, True])
+def test_inject_noise_refuses_to_write_into_its_images(tmp_path, capsys, spelling, truncated):
+    images = tmp_path / "imgs"
+    _images_with_truncated_c2(images)
+    if not truncated:
+        write_pnm(images / "c2.ppm", np.zeros((6, 6, 3), dtype=np.uint8))
+    before = {p.name: p.read_bytes() for p in images.iterdir()}
+    out = {"plain": images, "dot": images / ".", "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(images, target_is_directory=True)
+    args = ["inject-noise", "--images", str(images), "--out", str(out), "--density", "0.2"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is the --images directory; "
+        "the noisy copies would overwrite the originals\n"
+    )
+    assert {p.name: p.read_bytes() for p in images.iterdir()} == before
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -123,39 +124,53 @@ def test_csv_round_trip_keeps_rows_and_physical_lines(tmp_path_factory, rows):
 
 
 def test_normalize_accepts_exact_sum():
-    probs = normalize_probs([0.7, 0.3])
+    probs = normalize_probs([[0.7, 0.3]])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_rejects_large_drift():
     with pytest.raises(ValidationError, match="probability sum out of tolerance"):
-        normalize_probs([0.5, 0.4])
+        normalize_probs([[0.5, 0.4]])
 
 
 def test_normalize_renormalizes_small_drift():
     values = [0.70005, 0.29995 - 5e-4]
     total = sum(values)
-    probs = normalize_probs(values)
-    for got, raw in zip(probs, values):
+    probs = normalize_probs([values])
+    for got, raw in zip(probs[0], values):
         assert got == pytest.approx(raw / total, abs=1e-12)
 
 
 def test_normalize_rejects_out_of_range_entries():
     with pytest.raises(ValidationError, match="out of range"):
-        normalize_probs([-0.1, 1.1])
+        normalize_probs([[-0.1, 1.1]])
     with pytest.raises(ValidationError, match="out of range"):
-        normalize_probs([1.2, 0.0])
+        normalize_probs([[1.2, 0.0]])
 
 
 def test_normalize_rejects_non_finite():
     with pytest.raises(ValidationError, match="non-finite"):
-        normalize_probs([math.nan, 1.0])
+        normalize_probs([[math.nan, 1.0]])
 
 
 def test_normalized_vector_is_read_only():
-    probs = normalize_probs([0.5, 0.5])
+    probs = normalize_probs([[0.5, 0.5]])
     with pytest.raises(ValueError):
-        probs[0] = 0.9
+        probs[0, 0] = 0.9
+
+
+
+def test_normalize_reports_first_bad_row_and_its_first_failed_check():
+    rows = [[0.5, 0.5], [0.5, 0.4], [math.inf, 2.0], [0.6, 0.4]]
+    where = "p.csv:{}".format
+    with pytest.raises(ValidationError, match=r"^p\.csv:1: probability sum .* \(got 0\.900000\)$"):
+        normalize_probs(rows, where=where)
+    with pytest.raises(ValidationError, match=r"^p\.csv:2: non-finite"):
+        normalize_probs(rows[2:], where=lambda row: where(row + 2))
+    with pytest.raises(ValidationError, match=r"^probability row 0: probability entry out of"):
+        normalize_probs([[1.5, -0.5], [0.5, 0.4]])
+    assert normalize_probs(np.empty((0, 3))).shape == (0, 3)
+    assert normalize_probs([rows[0], rows[3]]).tolist() == [[0.5, 0.5], [0.6, 0.4]]
 
 
 def test_class_counts_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import LabelSet, ValidationError
+from wbcrescue.core import ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, read_csv
 from wbcrescue.ingest import (
     DirectorySampleSource,
     ProbTable,
@@ -216,6 +216,129 @@ def test_prob_table_serialization_round_trip(tmp_path, labels2):
     assert reparsed.ids == original.ids
     for image_id, probs in zip(original.ids, original.matrix):
         assert np.allclose(reparsed.aligned_to([image_id])[0], probs, atol=1e-9)
+
+
+
+def _normalize_row_reference(values, where):
+    """The former per-row `core.normalize_probs`."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{where}: non-finite probability value")
+    if np.any(arr < 0.0) or np.any(arr > 1.0 + ENTRY_EPSILON):
+        raise ValidationError(f"{where}: probability entry out of range [0, 1]")
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_DELTA:
+        raise ValidationError(f"{where}: probability sum out of tolerance (got {total:.6f})")
+    return arr / total
+
+
+def _parse_prob_table_rows_reference(path, label_set):
+    """The former row-by-row `parse_prob_table`, kept as the oracle: each row
+    is converted and checked before the next one is read."""
+    ids = []
+    rows = []
+    seen = set()
+    for lineno, row in read_csv(path, ["image_id", *label_set.names]):
+        image_id = row[0]
+        if not image_id:
+            raise ValidationError(f"{path}:{lineno}: empty image_id")
+        if image_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        values = np.empty(len(label_set), dtype=np.float64)
+        for column, cell in enumerate(row[1:]):
+            try:
+                values[column] = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: column {label_set.name_at(column)}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+        ids.append(image_id)
+        rows.append(_normalize_row_reference(values, f"{path}:{lineno}"))
+    return ProbTable(label_set, ids, np.reshape(rows, (len(ids), len(label_set))))
+
+
+def _parse_outcome(parse, path, label_set):
+    """(ids, matrix bytes) of a parsed table, or its error message."""
+    try:
+        table = parse(path, label_set)
+    except ValidationError as exc:
+        return "error", str(exc)
+    assert table.matrix.shape == (len(table.ids), len(label_set))
+    return table.ids, table.matrix.tobytes()
+
+
+_ODD_CELLS = [
+    "nan", "inf", "-inf", "-0.0", "1_0", " 0.5", "0.5 ", "1e-3", "x", "", "0x1", "1.5",
+    "-0.1", "1.0000005", "1.00001", "1e309", "٠.٥", "1e", "--1", ".", "1.2.3",
+]
+
+# Mostly ids that need quoting; few enough that ids repeat.
+_QUOTED_IDS = ["a", "b", "a,b", 'q"t', "c\rd", "e\nf", "g\r\nh", " "]
+
+
+@st.composite
+def _prob_csv(draw):
+    """(label set, CSV text) of up to 8 rows: mostly valid, some blank, some
+    with a bad cell, a drifted sum, an empty, repeated or quoted id, or one
+    cell too few or too many."""
+    k = draw(st.integers(min_value=2, max_value=40))
+    lines = ["image_id," + ",".join(f"C{i}" for i in range(k))]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(
+            ["valid"] * 6 + ["blank", "odd", "odd", "scaled", "short", "long", "no id"]
+        ))
+        if kind == "blank":
+            lines.append("")
+            continue
+        image_id = draw(st.sampled_from(_QUOTED_IDS))
+        if kind == "no id":
+            image_id = ""
+        weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+        scale = draw(st.sampled_from([1.0, 1.0009, 0.9991, 1.0011, 0.9989, 0.5, 2.0]))
+        if kind != "scaled":
+            scale = 1.0
+        cells = [repr(scale * w / sum(weights)) for w in weights]
+        if kind == "odd":
+            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append("0")
+        lines.append(",".join(['"' + image_id.replace('"', '""') + '"', *cells]))
+    return LabelSet([f"C{i}" for i in range(k)]), draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@given(_prob_csv())
+@settings(max_examples=400, deadline=None)
+def test_parse_prob_table_matches_row_reference(tmp_path_factory, inputs):
+    label_set, text = inputs
+    path = tmp_path_factory.mktemp("prob") / "p.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _parse_outcome(_parse_prob_table_rows_reference, path, label_set)
+    assert _parse_outcome(parse_prob_table, path, label_set) == expected
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        b"c,0.5",  # a wrong column count, raised inside read_csv
+        b"a,0.5,0.5",  # a repeated id
+        b"d,0.5,x",  # a non-numeric cell
+        # Bytes that are not UTF-8, raised inside read_csv. Text is decoded
+        # in chunks, so the bad row is read only if the bad bytes sit in a
+        # later chunk than it.
+        b"".join(b"p%d,0.5,0.5\n" % i for i in range(2000)) + b"e\xff,0.5,0.5",
+    ],
+    ids=["columns", "repeat", "cell", "utf8"],
+)
+def test_parse_prob_table_reports_the_earliest_of_two_bad_rows(tmp_path, labels2, later):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"image_id,SNE,LY\na,0.5,0.5\nb,0.5,0.4\nc,0.5,0.5\n" + later + b"\n")
+    message = f"{path}:3: probability sum out of tolerance (got 0.900000)"
+    assert _parse_outcome(_parse_prob_table_rows_reference, path, labels2) == ("error", message)
+    assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
 
 
 def _row_table_reference(label_set, rows):
