@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
@@ -86,25 +86,27 @@ class LabelSet:
         return name in self._index
 
 
-@contextmanager
-def _open_text(path):
-    """Open a text input as UTF-8 with newlines untranslated (as `csv`
-    needs); bytes that do not decode raise ValidationError naming the file."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError:
-            raise ValidationError(f"{path}: not UTF-8 text") from None
+_UNDECODED = re.compile("[\udc80-\udcff]")  # valid UTF-8 never decodes to these
+
+
+def _text_lines(path) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text input with newlines untranslated (as
+    `csv` needs). `surrogateescape` turns bytes that are not UTF-8 into
+    _UNDECODED; a line holding them raises ValidationError naming it."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii() and _UNDECODED.search(line):
+                raise ValidationError(f"{path}:{lineno}: not UTF-8 text")
+            yield line
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield `(lineno, line)` for each stripped line, `#` comments and blank
     lines removed."""
-    with _open_text(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def read_key_values(path) -> Iterator[tuple[int, str, str]]:
@@ -126,8 +128,8 @@ def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line, row)` for each non-blank row after the required header,
     where `line` is the physical line the row ends on."""
     header = list(header)
-    with _open_text(path) as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(_text_lines(path))
+    try:
         first = next(reader, [])
         if first != header:
             raise ValidationError(
@@ -142,6 +144,33 @@ def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
                     f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
                 )
             yield reader.line_num, row
+    except csv.Error as exc:  # such as a field over the size limit
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_keyed_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """`read_csv` whose first column is a key: an empty or repeated key
+    raises ValidationError naming the line."""
+    seen: set[str] = set()
+    for lineno, row in read_csv(path, header):
+        key = row[0]
+        if not key:
+            raise ValidationError(f"{path}:{lineno}: empty {header[0]}")
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate {header[0]} {key!r}")
+        seen.add(key)
+        yield lineno, row
+
+
+def require_same_ids(ids: Iterable[str], other: Iterable[str], missing: str, extra: str) -> None:
+    """Raise ValidationError unless `ids` and `other` hold the same ids. The
+    message is `missing` for ids only `ids` holds, else `extra`, followed by
+    up to five of those ids, sorted, and `...` when there are more."""
+    ids, other = set(ids), set(other)
+    for message, odd in ((missing, ids - other), (extra, other - ids)):
+        if odd:
+            names = sorted(odd)
+            raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -3,6 +3,7 @@ plus arithmetic-mean fusion of multiple probability tables."""
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +11,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassCounts, LabelSet, ValidationError, normalize_probs, read_csv, write_csv
+from .core import (ClassCounts, LabelSet, ValidationError, normalize_probs, read_csv,
+                   read_keyed_csv, require_same_ids, write_csv)
 from .netpbm import read_pnm
 
 
@@ -46,9 +48,6 @@ class ProbTable:
         order; every id must be in the table."""
         return self.matrix[[self._index[image_id] for image_id in ids]]
 
-    def __contains__(self, image_id: object) -> bool:
-        return image_id in self._index
-
 
 def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     """Parse a probability CSV with header `image_id,<class1>,...,<classK>`.
@@ -61,15 +60,8 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     ids: list[str] = []
     lines = array("q")
     values = array("d")
-    seen: set[str] = set()
     try:
-        for lineno, row in read_csv(path, ["image_id", *label_set.names]):
-            image_id = row[0]
-            if not image_id:
-                raise ValidationError(f"{path}:{lineno}: empty image_id")
-            if image_id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
+        for lineno, row in read_keyed_csv(path, ["image_id", *label_set.names]):
             for column, cell in enumerate(row[1:]):
                 try:
                     values.append(float(cell))
@@ -78,7 +70,7 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
                         f"{path}:{lineno}: column {label_set.name_at(column)}: "
                         f"non-numeric value {cell!r}"
                     ) from None
-            ids.append(image_id)
+            ids.append(row[0])
             lines.append(lineno)
     except ValidationError:
         # A bad row read before this error wins, so check those rows first,
@@ -179,14 +171,11 @@ def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:
     if not tables:
         raise ValidationError("no probability tables to average")
     first = tables[0]
-    for table in tables[1:]:
+    lacks = "probability tables disagree on image ids: table {} lacks".format
+    for number, table in enumerate(tables[1:], start=2):
         if table.label_set != first.label_set:
             raise ValidationError("probability tables use different label catalogs")
-        if set(table.ids) != set(first.ids):
-            missing = sorted(set(first.ids) ^ set(table.ids))[:5]
-            raise ValidationError(
-                f"probability tables disagree on image ids (e.g. {missing})"
-            )
+        require_same_ids(first.ids, table.ids, lacks(number), lacks(1))
     mean = np.mean([table.aligned_to(first.ids) for table in tables], axis=0)
     return ProbTable(first.label_set, first.ids, mean)
 
@@ -197,12 +186,14 @@ _IMAGE_SUFFIXES = (".ppm", ".pgm")
 
 
 def find_image(images_dir, image_id: str) -> Path:
-    """Path of `<id>.ppm` under `images_dir`, else of `<id>.pgm`."""
+    """Path of `<id>.ppm` under `images_dir`, else of `<id>.pgm`. An id
+    holding a path separator names no file there, so it has no image."""
     directory = Path(images_dir)
-    for suffix in _IMAGE_SUFFIXES:
-        candidate = directory / (image_id + suffix)
-        if candidate.is_file():
-            return candidate
+    if not any(sep and sep in image_id for sep in ("/", os.sep, os.altsep)):
+        for suffix in _IMAGE_SUFFIXES:
+            candidate = directory / (image_id + suffix)
+            if candidate.is_file():
+                return candidate
     raise SampleNotFoundError(f"no image for {image_id!r} under {directory}")
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, LabelSet, ValidationError, read_csv, write_csv
+from .core import ClassId, LabelSet, ValidationError, read_keyed_csv, require_same_ids, write_csv
 
 
 def build_confusion(
@@ -88,13 +88,10 @@ def compute_metrics(confusion: np.ndarray) -> MetricsReport:
 
 
 def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
-    """Read an `image_id,label` CSV, mapping labels through the catalog."""
+    """Read an `image_id,label` CSV, mapping labels through the catalog; ids
+    must be non-empty and unique."""
     rows: list[tuple[str, ClassId]] = []
-    seen: set[str] = set()
-    for lineno, (image_id, name) in read_csv(path, ["image_id", "label"]):
-        if image_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
+    for lineno, (image_id, name) in read_keyed_csv(path, ["image_id", "label"]):
         if name not in label_set:
             raise ValidationError(f"{path}:{lineno}: unknown label {name!r}")
         rows.append((image_id, label_set.index_of(name)))
@@ -106,23 +103,11 @@ def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
 def evaluate(pred_path, truth_path, label_set: LabelSet) -> tuple[MetricsReport, np.ndarray]:
     """Join predictions with ground truth on image_id and score them."""
     preds = dict(read_label_csv(pred_path, label_set))
-    truth = read_label_csv(truth_path, label_set)
-    truth_ids = {image_id for image_id, _ in truth}
-    missing = sorted(truth_ids - preds.keys())
-    if missing:
-        raise ValidationError(
-            f"{pred_path}: missing predictions for ids {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    extra = sorted(preds.keys() - truth_ids)
-    if extra:
-        raise ValidationError(
-            f"{pred_path}: predictions for unknown ids {extra[:5]}"
-            + ("..." if len(extra) > 5 else "")
-        )
-    truth_labels = [label for _, label in truth]
-    pred_labels = [preds[image_id] for image_id, _ in truth]
-    confusion = build_confusion(truth_labels, pred_labels, len(label_set))
+    truth = dict(read_label_csv(truth_path, label_set))
+    require_same_ids(truth, preds, f"{pred_path}: missing predictions for ids",
+                     f"{pred_path}: predictions for unknown ids")
+    pred_labels = [preds[image_id] for image_id in truth]
+    confusion = build_confusion(list(truth.values()), pred_labels, len(label_set))
     return compute_metrics(confusion), confusion
 
 

@@ -20,6 +20,7 @@ from .core import (
     Phase,
     RescueConfig,
     ValidationError,
+    require_same_ids,
     write_csv,
 )
 from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
@@ -167,18 +168,8 @@ def rescue_batch(
     label_set = swin_table.label_set
     if med_table.label_set != label_set:
         raise ValidationError("probability tables use different label catalogs")
-    missing = [image_id for image_id in swin_table.ids if image_id not in med_table]
-    if missing:
-        raise ValidationError(
-            f"image ids missing from verifier table: {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    extra = [image_id for image_id in med_table.ids if image_id not in swin_table]
-    if extra:
-        raise ValidationError(
-            f"verifier table has ids absent from the primary table: {extra[:5]}"
-            + ("..." if len(extra) > 5 else "")
-        )
+    require_same_ids(swin_table.ids, med_table.ids, "image ids missing from verifier table:",
+                     "verifier table has ids absent from the primary table:")
     boosts = compute_boost_factors(label_set, counts, config)
     base, candidate = phase1_candidate(swin_table.matrix, boosts)
     # A rare base prediction is never displaced: when boosting surfaces a

@@ -1,9 +1,12 @@
 import csv
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wbcrescue import rescue
 from wbcrescue.cli import run
@@ -527,3 +530,126 @@ def test_bad_probability_file_is_validation_error(corpus, tmp_path, capsys):
     args[args.index("--swin") + 1] = str(bad)
     assert run(args) == 1
     assert "out of tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+def test_a_field_over_the_csv_size_limit_exits_1_naming_its_line(tmp_path, capsys, command):
+    long_id = "x" * 200_000
+    if command == "evaluate":
+        bad = write_csv(tmp_path / "pred.csv", ["image_id", "label"], [[long_id, "SNE"]])
+        args = ["evaluate", "--pred", str(bad), "--truth", str(bad)]
+    else:
+        header = ["image_id", *default_label_set().names]
+        bad = write_csv(tmp_path / "a.csv", header, [[long_id, "0.5", "0.5"] + ["0"] * 11])
+        args = ["ensemble", str(bad), str(bad)]
+    out = tmp_path / "out.txt"
+    assert run(args + ["--out", str(out)]) == 1
+    assert f"error: {bad}:2: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("out.txt.tmp*"))
+
+
+def test_rescue_loads_no_cell_from_outside_its_image_dirs(corpus, tmp_path):
+    paths, gate_path, config_path = corpus
+    trace = tmp_path / "trace.csv"
+    assert run(_rescue_args(paths, gate_path, config_path, tmp_path / "pred.csv", trace)) == 0
+    with open(trace, newline="", encoding="utf-8") as handle:
+        image_id = next(row[0] for row in csv.reader(handle) if row[3] == "Rescued")
+    # The rescued cell sits beside --images and --masks, and the tables
+    # name it by a path that leads there.
+    escaped = f"../outside/{image_id}"
+    outside = tmp_path / "outside"
+    for directory in (outside, tmp_path / "images", tmp_path / "masks"):
+        directory.mkdir()
+    shutil.copy(paths.images / f"{image_id}.ppm", outside)
+    shutil.copy(paths.masks / f"{image_id}.pgm", outside)
+    tables = {}
+    for name in ("swin", "med"):
+        with open(getattr(paths, name), newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        [probs] = [row[1:] for row in rows if row[0] == image_id]
+        tables[name] = write_csv(tmp_path / f"{name}.csv", header, [[escaped, *probs]])
+    args = [
+        "rescue",
+        "--swin", str(tables["swin"]), "--med", str(tables["med"]),
+        "--counts", str(paths.counts),
+        "--images", str(tmp_path / "images"), "--masks", str(tmp_path / "masks"),
+        "--gate", str(gate_path), "--config", str(config_path),
+        "--out", str(tmp_path / "escaped.csv"), "--trace", str(trace),
+    ]
+    assert run(args) == 2
+    assert run(args + ["--skip-missing"]) == 0
+    with open(trace, newline="", encoding="utf-8") as handle:
+        [_, row] = csv.reader(handle)
+    assert row[0] == escaped and row[3] == "FailedMorphology"
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(corpus, tmp_path_factory):
+    """Valid input files of the commands that read no images, by name."""
+    paths, gate_path, config_path = corpus
+    features = tmp_path_factory.mktemp("features") / "features.csv"
+    argv = ["features", "--images", str(paths.images), "--masks", str(paths.masks)]
+    assert run(argv + ["--out", str(features)]) == 0
+    return {
+        "truth": paths.truth, "swin": paths.swin, "med": paths.med, "counts": paths.counts,
+        "config": config_path, "gate": gate_path, "features": features,
+    }
+
+
+# The input files of each command as (flag, name in valid_inputs); a None
+# flag is a positional argument.
+_FUZZ_COMMANDS = {
+    "evaluate": [("--pred", "truth"), ("--truth", "truth")],
+    "ensemble": [(None, "swin"), (None, "med")],
+    "rescue": [
+        ("--swin", "swin"), ("--med", "med"), ("--counts", "counts"),
+        ("--config", "config"), ("--gate", "gate"),
+    ],
+    "fit-pc-model": [("--features", "features")],
+    "calibrate-spikiness": [("--features", "features")],
+}
+
+_INSERTS = {"bom": b"\xff\xfe", "nul": b"\0", "quote": b'"', "long": b"x" * 140_000, "comma": b","}
+_MUTATIONS = ["truncate", "byte", *_INSERTS]
+
+
+def _mutate(data: bytes, mutation: str, at: int, byte: int) -> bytes:
+    """`data` truncated at `at`, or with one insert there; a comma is
+    inserted beside an existing one when there is any, doubling it."""
+    at %= len(data) + 1
+    if mutation == "truncate":
+        return data[:at]
+    commas = [i for i, value in enumerate(data) if value == ord(",")]
+    if mutation == "comma" and commas:
+        at = commas[at % len(commas)]
+    insert = bytes([byte]) if mutation == "byte" else _INSERTS[mutation]
+    return data[:at] + insert + data[at:]
+
+
+@given(
+    command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+    slot=st.integers(0, 4),
+    mutation=st.sampled_from(_MUTATIONS),
+    at=st.integers(0, 2**16),
+    byte=st.integers(0, 255),
+)
+# A field over the csv module's size limit in the second line of --pred.
+@example(command="evaluate", slot=0, mutation="long", at=20, byte=0)
+@settings(max_examples=200, deadline=None)
+def test_malformed_input_never_escapes_run(
+    valid_inputs, tmp_path_factory, command, slot, mutation, at, byte
+):
+    files = _FUZZ_COMMANDS[command]
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--out", str(work / "out")]
+    for position, (flag, name) in enumerate(files):
+        path = valid_inputs[name]
+        if position == slot % len(files):
+            mutated = work / path.name
+            mutated.write_bytes(_mutate(path.read_bytes(), mutation, at, byte))
+            path = mutated
+        argv += [str(path)] if flag is None else [flag, str(path)]
+    if command == "rescue":
+        argv.append("--skip-missing")
+    assert run(argv) in (0, 1, 2)

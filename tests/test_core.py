@@ -95,7 +95,7 @@ def test_load_label_file(tmp_path):
 def test_text_readers_reject_non_utf8(tmp_path, reader):
     path = tmp_path / "input.txt"
     path.write_bytes(b"image_id,\xff\n")
-    with pytest.raises(ValidationError, match=r"input\.txt: not UTF-8 text"):
+    with pytest.raises(ValidationError, match=r"input\.txt:1: not UTF-8 text"):
         reader(path)
 
 

@@ -326,10 +326,7 @@ def test_parse_prob_table_matches_row_reference(tmp_path_factory, inputs):
         b"c,0.5",  # a wrong column count, raised inside read_csv
         b"a,0.5,0.5",  # a repeated id
         b"d,0.5,x",  # a non-numeric cell
-        # Bytes that are not UTF-8, raised inside read_csv. Text is decoded
-        # in chunks, so the bad row is read only if the bad bytes sit in a
-        # later chunk than it.
-        b"".join(b"p%d,0.5,0.5\n" % i for i in range(2000)) + b"e\xff,0.5,0.5",
+        b"e\xff,0.5,0.5",  # bytes that are not UTF-8, raised inside read_csv
     ],
     ids=["columns", "repeat", "cell", "utf8"],
 )
@@ -338,6 +335,13 @@ def test_parse_prob_table_reports_the_earliest_of_two_bad_rows(tmp_path, labels2
     path.write_bytes(b"image_id,SNE,LY\na,0.5,0.5\nb,0.5,0.4\nc,0.5,0.5\n" + later + b"\n")
     message = f"{path}:3: probability sum out of tolerance (got 0.900000)"
     assert _parse_outcome(_parse_prob_table_rows_reference, path, labels2) == ("error", message)
+    assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
+
+
+def test_parse_prob_table_names_the_line_of_bytes_that_are_not_utf8(tmp_path, labels2):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"image_id,SNE,LY\na,0.5,0.5\n\"b\n\",0.5,0.5\ne\xff,0.5,0.5\nf,0.5,0.5\n")
+    message = f"{path}:5: not UTF-8 text"
     assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
 
 
@@ -406,7 +410,7 @@ def test_constructor_checks_shape_and_repeats(labels2):
     with pytest.raises(ValidationError, match="shape"):
         ProbTable(labels2, ["a", "b"], np.zeros(4))
     empty = ProbTable(labels2, [], np.empty((0, 2)))
-    assert len(empty) == 0 and empty.matrix.shape == (0, 2) and "a" not in empty
+    assert len(empty) == 0 and empty.matrix.shape == (0, 2) and "a" not in empty.ids
 
 
 def test_table_matrix_is_a_read_only_copy(labels2):
@@ -518,6 +522,21 @@ def test_average_rejects_id_mismatch(labels2):
         average_prob_tables([a, b])
 
 
+def test_average_names_the_table_that_lacks_ids(labels2):
+    # Seven ids that only one table holds, out of order: the first five
+    # sorted are named.
+    first = _table(labels2, [(image_id, [0.5, 0.5]) for image_id in "gfedcba"])
+    second = _table(labels2, [("z", [0.5, 0.5])])
+    third = _table(labels2, [(image_id, [0.5, 0.5]) for image_id in "gfedcbaqponmlk"])
+    message = "probability tables disagree on image ids: table {} lacks {}..."
+    with pytest.raises(ValidationError) as lacks_second:
+        average_prob_tables([first, second])
+    assert str(lacks_second.value) == message.format(2, "['a', 'b', 'c', 'd', 'e']")
+    with pytest.raises(ValidationError) as lacks_first:
+        average_prob_tables([first, first, third])
+    assert str(lacks_first.value) == message.format(1, "['k', 'l', 'm', 'n', 'o']")
+
+
 def test_average_rejects_catalog_mismatch(labels2):
     other = LabelSet(["SNE", "VLY"])
     a = _table(labels2, [("img1", [0.5, 0.5])])
@@ -560,3 +579,26 @@ def test_directory_source_finds_and_misses(tmp_path):
     with pytest.raises(SampleNotFoundError) as from_lookup:
         find_image(str(images), "z")
     assert str(from_source.value) == str(from_lookup.value)
+
+
+@pytest.mark.parametrize("spelling", ["parent", "absolute", "subdirectory"])
+def test_ids_holding_a_path_separator_have_no_image(tmp_path, spelling):
+    images = tmp_path / "images"
+    (images / "sub").mkdir(parents=True)
+    (tmp_path / "outside").mkdir()
+    for directory in (images / "sub", tmp_path / "outside"):
+        write_pnm(directory / "a.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+    image_id = {
+        "parent": "../outside/a",
+        "absolute": str(tmp_path / "outside" / "a"),
+        "subdirectory": "sub/a",
+    }[spelling]
+    with pytest.raises(SampleNotFoundError, match="no image for"):
+        find_image(images, image_id)
+
+
+def test_dot_ids_name_files_inside_the_directory(tmp_path):
+    for image_id in (".", ".."):
+        write_pnm(tmp_path / (image_id + ".ppm"), np.zeros((2, 2, 3), dtype=np.uint8))
+        assert find_image(tmp_path, image_id) == tmp_path / (image_id + ".ppm")
+    assert list_image_ids(tmp_path) == [".", ".."]

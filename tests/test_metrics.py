@@ -188,6 +188,30 @@ def test_evaluate_reports_missing_ids(tmp_path, labels13):
         evaluate(pred, truth, labels13)
 
 
+@pytest.mark.parametrize("side", ["missing", "unknown"])
+def test_evaluate_names_five_mismatched_ids_sorted(tmp_path, labels13, side):
+    shared = [["img0", "LY"]]
+    odd = [[image_id, "SNE"] for image_id in "gfedcba"]
+    pred_rows, truth_rows = (shared, shared + odd) if side == "missing" else (shared + odd, shared)
+    pred = write_csv(tmp_path / "pred.csv", ["image_id", "label"], pred_rows)
+    truth = write_csv(tmp_path / "truth.csv", ["image_id", "label"], truth_rows)
+    wording = "missing predictions for" if side == "missing" else "predictions for unknown"
+    with pytest.raises(ValidationError) as raised:
+        evaluate(pred, truth, labels13)
+    assert str(raised.value) == f"{pred}: {wording} ids ['a', 'b', 'c', 'd', 'e']..."
+
+
+@pytest.mark.parametrize("empty_in", ["pred", "truth"])
+def test_evaluate_rejects_an_empty_id(tmp_path, labels13, empty_in):
+    rows = {"pred": [["img0", "LY"]], "truth": [["img0", "LY"]]}
+    rows[empty_in].append(["", "SNE"])
+    pred = write_csv(tmp_path / "pred.csv", ["image_id", "label"], rows["pred"])
+    truth = write_csv(tmp_path / "truth.csv", ["image_id", "label"], rows["truth"])
+    with pytest.raises(ValidationError) as raised:
+        evaluate(pred, truth, labels13)
+    assert str(raised.value) == f"{pred if empty_in == 'pred' else truth}:3: empty image_id"
+
+
 def test_read_label_csv_rejects_unknown_label(tmp_path, labels13):
     path = write_csv(tmp_path / "pred.csv", ["image_id", "label"], [["img0", "nope"]])
     with pytest.raises(ValidationError, match="unknown label"):

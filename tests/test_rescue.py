@@ -382,6 +382,24 @@ def test_batch_rejects_extra_verifier_ids(gate):
         rescue_batch(swin, med, CountingSource({}), _counts(), gate, RescueConfig())
 
 
+@pytest.mark.parametrize(
+    "odd_side, message",
+    [
+        ("swin", "image ids missing from verifier table"),
+        ("med", "verifier table has ids absent from the primary table"),
+    ],
+)
+def test_batch_names_five_mismatched_ids_sorted(gate, odd_side, message):
+    # Seven ids that only one table holds, in table order g..a: the first
+    # five sorted are named.
+    common = [("n", {SNE: 0.9})]
+    odd = common + [(image_id, {SNE: 0.9}) for image_id in "gfedcba"]
+    swin, med = _tables(odd, common) if odd_side == "swin" else _tables(common, odd)
+    with pytest.raises(ValidationError) as raised:
+        rescue_batch(swin, med, CountingSource({}), _counts(), gate, RescueConfig())
+    assert str(raised.value) == f"{message}: ['a', 'b', 'c', 'd', 'e']..."
+
+
 def test_batch_missing_sample_aborts_by_default(gate):
     swin, med = _tables([("a", {LY: 0.5, PLY: 0.12})], [("a", {PLY: 0.9})])
     with pytest.raises(SampleNotFoundError):
