@@ -11,7 +11,6 @@ made are removed.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import zlib
@@ -55,9 +54,6 @@ from .morphology import (
 from .noise import check_salt_pepper_rates, inject_salt_pepper, noise_score
 from .rescue import parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
 
-log = logging.getLogger("wbcrescue")
-
-
 class _UsageError(Exception):
     pass
 
@@ -78,6 +74,12 @@ def _atomic(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _info(args, message: str) -> None:
+    """Write a progress line to stderr, only under --verbose."""
+    if args.verbose:
+        print(f"INFO wbcrescue: {message}", file=sys.stderr)
 
 
 def _thread_count(text: str) -> int:
@@ -137,7 +139,7 @@ def _cmd_rescue(args) -> int:
         threads=args.threads,
     )
     rescued = sum(1 for t in traces if t.phase_reached.value == "Rescued")
-    log.info("decided %d images, rescued %d", len(traces), rescued)
+    _info(args, f"decided {len(traces)} images, rescued {rescued}")
     with _atomic(args.out) as tmp:
         write_predictions_csv(tmp, traces, label_set)
     if args.trace:
@@ -160,7 +162,7 @@ def _cmd_fit_pc_model(args) -> int:
     gate = fit_gaussian_gate([vector for _, vector, _ in rows], args.ridge_scale)
     with _atomic(args.out) as tmp:
         save_gate(tmp, gate)
-    log.info("fitted gate from %d samples (ridge %g)", gate.sample_count, gate.ridge)
+    _info(args, f"fitted gate from {gate.sample_count} samples (ridge {gate.ridge:g})")
     return 0
 
 
@@ -249,7 +251,7 @@ def _cmd_evaluate(args) -> int:
     if args.confusion:
         with _atomic(args.confusion) as tmp:
             write_confusion_csv(tmp, confusion, label_set)
-    log.info("macro_f1 %.6f over %d samples", report.macro_f1, report.total)
+    _info(args, f"macro_f1 {report.macro_f1:.6f} over {report.total} samples")
     return 0
 
 
@@ -337,11 +339,6 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -356,26 +356,18 @@ class Phase(Enum):
     RESCUED = "Rescued"
 
 
-@dataclass(frozen=True)
-class DecisionTrace:
+class DecisionTrace(NamedTuple):
     """Audit record for one image's pass through the rescue pipeline."""
 
     image_id: str
     base_label: ClassId
     candidate: ClassId | None
     phase_reached: Phase
-    spikiness: float | None
-    mahalanobis: float | None
-    final_label: ClassId
+    spikiness: float | None = None
+    mahalanobis: float | None = None
     error: str | None = None
 
-    def __post_init__(self):
-        if self.phase_reached is Phase.RESCUED:
-            if self.candidate is None or self.final_label != self.candidate:
-                raise ValidationError(
-                    f"{self.image_id}: rescued trace must finalize its candidate"
-                )
-        elif self.final_label != self.base_label:
-            raise ValidationError(
-                f"{self.image_id}: non-rescued trace must keep the base label"
-            )
+    @property
+    def final_label(self) -> ClassId:
+        """The candidate when the row was rescued, else the base label."""
+        return self.candidate if self.phase_reached is Phase.RESCUED else self.base_label

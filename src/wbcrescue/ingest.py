@@ -160,7 +160,10 @@ def load_cell_sample(image_path, mask_path, image_id: str) -> CellSample:
     pixels = np.ascontiguousarray(pixels)
     pixels.flags.writeable = False
     mask.flags.writeable = False
-    return CellSample(image_id, pixels, mask)
+    try:
+        return CellSample(image_id, pixels, mask)
+    except ValidationError as exc:  # the image and mask sizes differ: name both files
+        raise ValidationError(f"{image_path}, {mask_path}: {exc}") from None
 
 
 def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:

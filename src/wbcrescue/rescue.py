@@ -183,7 +183,7 @@ def rescue_batch(
 
     def filter_row(row: int) -> DecisionTrace:
         image_id = swin_table.ids[row]
-        row_base, row_candidate = int(base[row]), int(candidate[row])
+        row_candidate = int(candidate[row])
         try:
             sample = sample_source(image_id)
         except SampleNotFoundError as exc:
@@ -194,19 +194,18 @@ def rescue_batch(
             result = phase3_filter(label_set.name_at(row_candidate), sample, gate, config)
         return DecisionTrace(
             image_id,
-            row_base,
+            int(base[row]),
             row_candidate,
             Phase.RESCUED if result.passed else Phase.FAILED_MORPHOLOGY,
             result.spikiness,
             result.mahalanobis,
-            row_candidate if result.passed else row_base,
             error=result.error,
         )
 
     traces = [
-        DecisionTrace(image_id, b, c, Phase.FAILED_SEMANTIC, None, None, b)
+        DecisionTrace(image_id, b, c, Phase.FAILED_SEMANTIC)
         if p
-        else DecisionTrace(image_id, b, None, Phase.NO_CANDIDATE, None, None, b)
+        else DecisionTrace(image_id, b, None, Phase.NO_CANDIDATE)
         for image_id, b, c, p in zip(
             swin_table.ids, base.tolist(), candidate.tolist(), pursued.tolist()
         )

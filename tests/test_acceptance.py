@@ -15,7 +15,6 @@ from wbcrescue.cli import run
 from wbcrescue.core import (
     ClassCounts,
     RescueConfig,
-    ValidationError,
     default_label_set,
 )
 from wbcrescue.ingest import DirectorySampleSource, ProbTable, parse_prob_table
@@ -34,15 +33,8 @@ from wbcrescue.morphology import (
 from wbcrescue.noise import inject_salt_pepper, noise_score
 from wbcrescue.rescue import compute_boost_factors, phase1_candidate, rescue_batch
 
-from synth import (
-    build_corpus,
-    cell_sample,
-    disc_mask,
-    eccentric_cell,
-    gray_sample,
-    star_mask,
-    write_csv,
-)
+from reference import pc_gate, reference_decide, sample_pool
+from synth import build_corpus, eccentric_cell, gray_sample, star_mask, write_csv
 
 LABELS = default_label_set()
 K = len(LABELS)
@@ -60,70 +52,9 @@ def _report(number: int, description: str, ok: bool):
 # ---------------------------------------------------------------------
 
 
-def _sample_pool():
-    pool = {
-        "star_a": cell_sample(star_mask(32, 8, 8.0, 5.0), disc_mask(32, 4.0)),
-        "star_b": cell_sample(star_mask(32, 7, 9.0, 6.0), disc_mask(32, 5.0)),
-        "star_c": cell_sample(star_mask(32, 9, 7.0, 4.0), disc_mask(32, 4.0)),
-        "disc_a": eccentric_cell(nucleus_shift=0.0),
-        "disc_b": eccentric_cell(nucleus_shift=0.0, nucleus_radius=4.0),
-        "pc_a": eccentric_cell(nucleus_shift=3.0),
-        "pc_b": eccentric_cell(nucleus_shift=3.5, nucleus_radius=6.5),
-        "flat": gray_sample(np.full((12, 12), 99, dtype=np.uint8), disc_mask(12, 4.0)),
-        "empty": gray_sample(np.full((6, 6), 10, dtype=np.uint8), np.zeros((6, 6), bool)),
-        "tiny": gray_sample(
-            np.array([[5, 250]], dtype=np.uint8), np.ones((1, 2), dtype=bool)
-        ),
-    }
-    return pool
-
-
-def _pc_gate():
-    rng = np.random.default_rng(100)
-    population = np.array([0.45, 0.55, 0.3]) + rng.normal(0, 0.05, size=(60, 3))
-    return fit_gaussian_gate(population)
-
-
-def _argmax_first(values):
-    best = 0
-    for index, value in enumerate(values):
-        if value > values[best]:
-            best = index
-    return best
-
-
-def _reference_decide(p_swin, p_med, factors, tau, tau_s, tau_m, sample, gate):
-    """Straight-line restatement of the three-phase decision."""
-    rare = (PLY, PC)
-    base = _argmax_first(list(p_swin))
-    boosted = [p * f for p, f in zip(p_swin, factors)]
-    candidate = _argmax_first(boosted)
-    if candidate not in rare:
-        return base, "NoCandidate"
-    if base in rare and candidate != base:
-        return base, "NoCandidate"
-    if p_med[candidate] < tau:
-        return base, "FailedSemantic"
-    if candidate == PLY:
-        try:
-            score = spikiness(trace_contour(sample.mask))
-        except ValidationError:
-            return base, "FailedMorphology"
-        if score > tau_s:
-            return PLY, "Rescued"
-        return base, "FailedMorphology"
-    try:
-        vector = morph_vector(sample)
-    except ValidationError:
-        return base, "FailedMorphology"
-    if mahalanobis(gate, vector) <= tau_m:
-        return PC, "Rescued"
-    return base, "FailedMorphology"
-
-
 def _random_groups(seed=424_242, n_groups=100, group_size=100):
     rng = np.random.default_rng(seed)
-    pool = _sample_pool()
+    pool = sample_pool()
     keys = sorted(pool)
     groups = []
     for g in range(n_groups):
@@ -149,7 +80,7 @@ def _random_groups(seed=424_242, n_groups=100, group_size=100):
 @pytest.fixture(scope="module")
 def decision_corpus():
     pool, groups = _random_groups()
-    return pool, groups, _pc_gate()
+    return pool, groups, pc_gate()
 
 
 def _run_production(pool, groups, gate, boost_override=None):
@@ -186,10 +117,10 @@ def test_criterion_01_reference_equivalence(decision_corpus):
         factors[PLY] = params["boost_ply"]
         factors[PC] = params["boost_pc"]
         for cid, p_swin, p_med, key in cases:
-            expected = _reference_decide(
+            expected = reference_decide(
                 p_swin, p_med, factors,
                 params["tau"], params["tau_s"], params["tau_m"],
-                pool[key], gate,
+                pool[key], gate, PLY, PC,
             )
             trace = production[index]
             index += 1
@@ -344,7 +275,7 @@ def test_criterion_04_spikiness_geometry():
 
 def test_criterion_05_mahalanobis_correctness():
     rng = np.random.default_rng(55)
-    data = _pc_gate()
+    data = pc_gate()
     at_mean = mahalanobis(data, data.mean) == 0.0
 
     draws = rng.normal(size=(5000, 3))

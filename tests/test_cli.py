@@ -27,6 +27,7 @@ from wbcrescue.morphology import (
 from wbcrescue.netpbm import write_pnm
 from wbcrescue.noise import noise_score
 
+from reference import pc_gate, sample_pool
 from synth import build_corpus, write_csv, write_label_file
 
 
@@ -653,3 +654,121 @@ def test_malformed_input_never_escapes_run(
     if command == "rescue":
         argv.append("--skip-missing")
     assert run(argv) in (0, 1, 2)
+
+
+def test_verbose_is_decided_per_run(tmp_path, capsys):
+    pred = write_csv(tmp_path / "pred.csv", ["image_id", "label"], [["a", "SNE"], ["b", "LY"]])
+    truth = write_csv(tmp_path / "truth.csv", ["image_id", "label"], [["a", "SNE"], ["b", "SNE"]])
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth),
+            "--out", str(tmp_path / "report.txt")]
+    for verbose in (False, True, False):
+        assert run(["--verbose"] * verbose + argv) == 0
+        err = capsys.readouterr().err
+        if verbose:
+            assert err.startswith("INFO wbcrescue: macro_f1 ") and err.endswith(" over 2 samples\n")
+        else:
+            assert err == ""
+
+
+@pytest.fixture(scope="module")
+def cell_inputs(tmp_path_factory):
+    """Three cells, one of them a grayscale P5 image, and the rescue inputs
+    that send each one to a shape filter; by name."""
+    root = tmp_path_factory.mktemp("cells")
+    images, masks = root / "images", root / "masks"
+    images.mkdir()
+    masks.mkdir()
+    pool = sample_pool()
+    for image_id, key, suffix in (("p", "star_a", ".ppm"), ("q", "pc_a", ".ppm"),
+                                  ("g", "disc_a", ".pgm")):
+        pixels = pool[key].pixels
+        write_pnm(images / (image_id + suffix), pixels if suffix == ".ppm" else pixels[:, :, 0])
+        write_pnm(masks / f"{image_id}.pgm", np.where(pool[key].mask, 255, 0).astype(np.uint8))
+    labels = default_label_set()
+    rows = []
+    for image_id, name in (("p", "PLY"), ("q", "PC"), ("g", "PLY")):
+        probs = [0.1 / (len(labels) - 1)] * len(labels)
+        probs[labels.index_of(name)] = 0.9
+        rows.append([image_id, *map(repr, probs)])
+    table = write_csv(root / "probs.csv", ["image_id", *labels], rows)
+    counts = write_csv(root / "counts.csv", ["class", "count"], [[name, 100] for name in labels])
+    save_gate(root / "pc.gate", pc_gate())
+    return {"images": images, "masks": masks, "swin": table, "med": table, "counts": counts,
+            "gate": root / "pc.gate"}
+
+
+def _cell_command(command, inputs, out):
+    """argv of `command` over the files of `cell_inputs` (or a copy of them)."""
+    argv = [command, "--images", str(inputs["images"]), "--out", str(out)]
+    if command in ("features", "rescue"):
+        argv += ["--masks", str(inputs["masks"])]
+    if command == "rescue":
+        for flag in ("swin", "med", "counts", "gate"):
+            argv += [f"--{flag}", str(inputs[flag])]
+        argv.append("--skip-missing")
+    if command == "inject-noise":
+        argv += ["--density", "0.2"]
+    return argv
+
+
+def _copy_cells(inputs, work):
+    copied = dict(inputs, images=work / "images", masks=work / "masks")
+    shutil.copytree(inputs["images"], copied["images"])
+    shutil.copytree(inputs["masks"], copied["masks"])
+    return copied
+
+
+@pytest.mark.parametrize("command", ["features", "rescue"])
+def test_image_and_mask_size_mismatch_names_both_files(cell_inputs, tmp_path, capsys, command):
+    inputs = _copy_cells(cell_inputs, tmp_path)
+    image, mask = inputs["images"] / "p.ppm", inputs["masks"] / "p.pgm"
+    write_pnm(mask, np.full((12, 10), 255, dtype=np.uint8))
+    out = tmp_path / "out.csv"
+    assert run(_cell_command(command, inputs, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {image}, {mask}: p: dimension mismatch: image 32x32 vs mask 10x12\n"
+    )
+    assert not out.exists()
+
+
+_PNM_MUTATIONS = ["truncate", "magic", "width", "height", "maxval", "flip", "trailing"]
+_PNM_TOKENS = [b"", b"P3", b"P5", b"P6", b"0", b"-1", b"1", b"x", b"256", b"99999999999"]
+
+
+def _mutate_pnm(data: bytes, mutation: str, at: int, byte: int, token: bytes) -> bytes:
+    """`data`, a file as `write_pnm` writes it, with its raster truncated at
+    `at`, a header token replaced by `token`, the byte at `at` XORed with
+    `byte`, or `byte` appended."""
+    header_end = data.index(b"\n255\n") + len(b"\n255\n")
+    if mutation == "truncate":
+        return data[: header_end + at % (len(data) - header_end)]
+    if mutation == "flip":
+        at %= len(data)
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+    if mutation == "trailing":
+        return data + bytes([byte])
+    tokens = data[:header_end].split()
+    tokens[["magic", "width", "height", "maxval"].index(mutation)] = token
+    return b"%s\n%s %s\n%s\n" % tuple(tokens) + data[header_end:]
+
+
+@given(
+    command=st.sampled_from(["features", "noise-score", "inject-noise", "rescue"]),
+    slot=st.integers(0, 5),
+    mutation=st.sampled_from(_PNM_MUTATIONS),
+    at=st.integers(0, 2**16),
+    byte=st.integers(1, 255),
+    token=st.sampled_from(_PNM_TOKENS),
+)
+@settings(max_examples=200, deadline=None)
+def test_malformed_image_never_escapes_run(
+    cell_inputs, tmp_path_factory, command, slot, mutation, at, byte, token
+):
+    work = tmp_path_factory.mktemp("image-fuzz")
+    inputs = _copy_cells(cell_inputs, work)
+    files = sorted(inputs["images"].iterdir())
+    if command in ("features", "rescue"):
+        files += sorted(inputs["masks"].iterdir())
+    target = files[slot % len(files)]
+    target.write_bytes(_mutate_pnm(target.read_bytes(), mutation, at, byte, token))
+    assert run(_cell_command(command, inputs, work / "out")) in (0, 1, 2)

@@ -264,13 +264,11 @@ def test_config_file_rejects_repeated_key(tmp_path, labels13):
         parse_config_file(path, labels13)
 
 
-def test_trace_enforces_consistency():
-    with pytest.raises(ValidationError):
-        DecisionTrace("img", 0, 3, Phase.FAILED_SEMANTIC, None, None, 3)
-    with pytest.raises(ValidationError):
-        DecisionTrace("img", 0, 3, Phase.RESCUED, None, None, 0)
-    trace = DecisionTrace("img", 0, 3, Phase.RESCUED, 0.4, None, 3)
-    assert trace.final_label == trace.candidate
+def test_trace_derives_final_label_from_phase():
+    assert DecisionTrace("img", 0, 3, Phase.RESCUED, 0.4).final_label == 3
+    for phase in (Phase.FAILED_SEMANTIC, Phase.FAILED_MORPHOLOGY):
+        assert DecisionTrace("img", 0, 3, phase).final_label == 0
+    assert DecisionTrace("img", 2, None, Phase.NO_CANDIDATE).final_label == 2
 
 
 def test_phase_tags_are_stable_strings():

@@ -251,35 +251,40 @@ def _decide(p_swin, p_med, sample=None, config=None, gate_model=None, counts=Non
 
 
 def _oracle(image_id, p_swin, p_med, source, boosts, gate_model, config, skip_missing=False):
-    """Straight-line decision for one row, the reference for `rescue_batch`."""
+    """Straight-line decision for one row, the reference for `rescue_batch`:
+    its trace and, worked out on its own, its final label."""
     base = int(np.argmax(p_swin))
     top = int(np.argmax(p_swin * boosts.factors))
     candidate = top if top in boosts.rare_indices else None
     if candidate is None or (base in boosts.rare_indices and candidate != base):
-        return DecisionTrace(image_id, base, None, Phase.NO_CANDIDATE, None, None, base)
+        return DecisionTrace(image_id, base, None, Phase.NO_CANDIDATE), base
     if not float(p_med[candidate]) >= config.tau:
-        return DecisionTrace(
-            image_id, base, candidate, Phase.FAILED_SEMANTIC, None, None, base
-        )
+        return DecisionTrace(image_id, base, candidate, Phase.FAILED_SEMANTIC), base
     try:
         sample = source(image_id)
     except SampleNotFoundError as exc:
         if not skip_missing:
             raise
-        return DecisionTrace(
-            image_id, base, candidate, Phase.FAILED_MORPHOLOGY, None, None, base,
-            error=str(exc),
+        trace = DecisionTrace(
+            image_id, base, candidate, Phase.FAILED_MORPHOLOGY, error=str(exc)
         )
+        return trace, base
     result = phase3_filter(LABELS.name_at(candidate), sample, gate_model, config)
     if result.passed:
-        return DecisionTrace(
-            image_id, base, candidate, Phase.RESCUED,
-            result.spikiness, result.mahalanobis, candidate,
+        trace = DecisionTrace(
+            image_id, base, candidate, Phase.RESCUED, result.spikiness, result.mahalanobis
         )
-    return DecisionTrace(
+        return trace, candidate
+    trace = DecisionTrace(
         image_id, base, candidate, Phase.FAILED_MORPHOLOGY,
-        result.spikiness, result.mahalanobis, base, error=result.error,
+        result.spikiness, result.mahalanobis, error=result.error,
     )
+    return trace, base
+
+
+def _with_final_labels(traces):
+    """Each trace with its derived final label, to compare with `_oracle`."""
+    return [(trace, trace.final_label) for trace in traces]
 
 
 def test_early_exit_without_candidate():
@@ -454,7 +459,7 @@ def test_batch_equals_sequential_application(gate):
     boosts = compute_boost_factors(LABELS, _counts(), config)
     source = CountingSource(samples)
     batch = rescue_batch(swin, med, source, _counts(), gate, config, threads=4)
-    assert batch == [
+    assert _with_final_labels(batch) == [
         _oracle(image_id, p_swin, med.aligned_to([image_id])[0], source, boosts, gate, config)
         for image_id, p_swin in zip(swin.ids, swin.matrix)
     ]
@@ -527,10 +532,10 @@ def test_batch_kernel_matches_per_row_oracle(gate, case):
         for image_id, p_swin, p_med, _ in rows
     ])
     for threads in (1, 4):
-        assert _outcome(lambda: rescue_batch(
+        assert _outcome(lambda: _with_final_labels(rescue_batch(
             swin, med, source, counts, gate, config,
             skip_missing=skip_missing, threads=threads,
-        )) == expected
+        ))) == expected
 
 
 # ------------------------------------------------------------ invariants
