@@ -162,15 +162,21 @@ def read_keyed_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]
         yield lineno, row
 
 
-def require_same_ids(ids: Iterable[str], other: Iterable[str], missing: str, extra: str) -> None:
-    """Raise ValidationError unless `ids` and `other` hold the same ids. The
-    message is `missing` for ids only `ids` holds, else `extra`, followed by
-    up to five of those ids, sorted, and `...` when there are more."""
-    ids, other = set(ids), set(other)
-    for message, odd in ((missing, ids - other), (extra, other - ids)):
-        if odd:
-            names = sorted(odd)
-            raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
+def join_ids(ids: Sequence[str], other: Sequence[str], missing: str, extra: str) -> list[int]:
+    """The row of `other` that holds each id of `ids`, in `ids` order; each
+    side holds an id once. Raise ValidationError unless both hold the same
+    ids: the message is `missing` for ids only `ids` holds, else `extra`,
+    followed by up to five of those ids, sorted, and `...` when there are more."""
+    index = dict(zip(other, range(len(other))))
+    rows = [index.get(image_id, -1) for image_id in ids]
+    if -1 in rows:
+        message, odd = missing, {image_id for image_id, row in zip(ids, rows) if row < 0}
+    elif len(index) > len(rows):
+        message, odd = extra, index.keys() - ids
+    else:
+        return rows
+    names = sorted(odd)
+    raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

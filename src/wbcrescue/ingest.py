@@ -11,8 +11,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (ClassCounts, LabelSet, ValidationError, normalize_probs, read_csv,
-                   read_keyed_csv, require_same_ids, write_csv)
+from .core import (ClassCounts, LabelSet, ValidationError, join_ids, normalize_probs,
+                   read_csv, read_keyed_csv, write_csv)
 from .netpbm import read_pnm
 
 
@@ -35,18 +35,14 @@ class ProbTable:
                 f"{len(self.ids)} ids by catalog size {len(label_set)}"
             )
         self.matrix.flags.writeable = False
-        self._index: dict[str, int] = {}
-        for row, image_id in enumerate(self.ids):
-            if self._index.setdefault(image_id, row) != row:
+        seen: set[str] = set()
+        for image_id in self.ids:
+            if image_id in seen:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
+            seen.add(image_id)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def aligned_to(self, ids: Sequence[str]) -> np.ndarray:
-        """The (len(ids), K) matrix of this table's rows for `ids`, in that
-        order; every id must be in the table."""
-        return self.matrix[[self._index[image_id] for image_id in ids]]
 
 
 def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
@@ -167,20 +163,19 @@ def load_cell_sample(image_path, mask_path, image_id: str) -> CellSample:
 
 
 def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:
-    """Element-wise arithmetic mean over tables sharing ids and catalog.
-
-    Output rows follow the first table's order.
-    """
+    """Element-wise arithmetic mean over tables sharing a catalog and ids,
+    each row joined by id; rows follow the first table's order."""
     if not tables:
         raise ValidationError("no probability tables to average")
     first = tables[0]
     lacks = "probability tables disagree on image ids: table {} lacks".format
+    total = first.matrix.copy()  # summed in table order, as np.mean sums a stack
     for number, table in enumerate(tables[1:], start=2):
         if table.label_set != first.label_set:
             raise ValidationError("probability tables use different label catalogs")
-        require_same_ids(first.ids, table.ids, lacks(number), lacks(1))
-    mean = np.mean([table.aligned_to(first.ids) for table in tables], axis=0)
-    return ProbTable(first.label_set, first.ids, mean)
+        total += table.matrix[join_ids(first.ids, table.ids, lacks(number), lacks(1))]
+    total /= len(tables)
+    return ProbTable(first.label_set, first.ids, total)
 
 
 SampleSource = Callable[[str], CellSample]

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, LabelSet, ValidationError, read_keyed_csv, require_same_ids, write_csv
+from .core import ClassId, LabelSet, ValidationError, join_ids, read_keyed_csv, write_csv
 
 
 def build_confusion(
@@ -102,12 +102,11 @@ def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
 
 def evaluate(pred_path, truth_path, label_set: LabelSet) -> tuple[MetricsReport, np.ndarray]:
     """Join predictions with ground truth on image_id and score them."""
-    preds = dict(read_label_csv(pred_path, label_set))
-    truth = dict(read_label_csv(truth_path, label_set))
-    require_same_ids(truth, preds, f"{pred_path}: missing predictions for ids",
-                     f"{pred_path}: predictions for unknown ids")
-    pred_labels = [preds[image_id] for image_id in truth]
-    confusion = build_confusion(list(truth.values()), pred_labels, len(label_set))
+    pred_ids, pred_labels = zip(*read_label_csv(pred_path, label_set))
+    truth_ids, truth_labels = zip(*read_label_csv(truth_path, label_set))
+    rows = join_ids(truth_ids, pred_ids, f"{pred_path}: missing predictions for ids",
+                    f"{pred_path}: predictions for unknown ids")
+    confusion = build_confusion(truth_labels, [pred_labels[row] for row in rows], len(label_set))
     return compute_metrics(confusion), confusion
 
 

@@ -20,7 +20,7 @@ from .core import (
     Phase,
     RescueConfig,
     ValidationError,
-    require_same_ids,
+    join_ids,
     write_csv,
 )
 from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
@@ -168,8 +168,8 @@ def rescue_batch(
     label_set = swin_table.label_set
     if med_table.label_set != label_set:
         raise ValidationError("probability tables use different label catalogs")
-    require_same_ids(swin_table.ids, med_table.ids, "image ids missing from verifier table:",
-                     "verifier table has ids absent from the primary table:")
+    med_rows = join_ids(swin_table.ids, med_table.ids, "image ids missing from verifier table:",
+                        "verifier table has ids absent from the primary table:")
     boosts = compute_boost_factors(label_set, counts, config)
     base, candidate = phase1_candidate(swin_table.matrix, boosts)
     # A rare base prediction is never displaced: when boosting surfaces a
@@ -177,8 +177,7 @@ def rescue_batch(
     # pursued.
     rare_base = np.isin(base, sorted(boosts.rare_indices))
     pursued = (candidate >= 0) & ~(rare_base & (candidate != base))
-    p_med = med_table.aligned_to(swin_table.ids)
-    verifier = p_med[np.arange(len(p_med)), np.maximum(candidate, 0)]
+    verifier = med_table.matrix[med_rows, np.maximum(candidate, 0)]
     verified = np.flatnonzero(pursued & (verifier >= config.tau)).tolist()
 
     def filter_row(row: int) -> DecisionTrace:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from wbcrescue import core
 from wbcrescue.core import LabelSet, default_label_set
 from wbcrescue.ingest import CellSample
 from wbcrescue.netpbm import write_pnm
@@ -85,10 +85,7 @@ def write_label_file(path, label_set: LabelSet) -> Path:
 
 def write_csv(path, header: list[str], rows: list[list]) -> Path:
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    core.write_csv(path, header, rows)
     return path
 
 

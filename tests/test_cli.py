@@ -138,8 +138,8 @@ def test_ensemble_averages_tables(tmp_path):
     out = tmp_path / "mean.csv"
     assert run(["ensemble", str(a), str(b), "--labels", str(labels_path), "--out", str(out)]) == 0
     merged = parse_prob_table(out, labels)
-    assert merged.aligned_to(["img0"])[0][0] == pytest.approx(0.3, abs=1e-9)
-    assert merged.aligned_to(["img0"])[0][1] == pytest.approx(0.15, abs=1e-9)
+    assert merged.matrix[merged.ids.index("img0")][0] == pytest.approx(0.3, abs=1e-9)
+    assert merged.matrix[merged.ids.index("img0")][1] == pytest.approx(0.15, abs=1e-9)
 
 
 def test_rescue_end_to_end(corpus, tmp_path):
@@ -728,6 +728,18 @@ def test_image_and_mask_size_mismatch_names_both_files(cell_inputs, tmp_path, ca
     assert capsys.readouterr().err == (
         f"error: {image}, {mask}: p: dimension mismatch: image 32x32 vs mask 10x12\n"
     )
+    assert not out.exists()
+
+
+def test_skip_missing_still_fails_on_a_truncated_image(cell_inputs, tmp_path, capsys):
+    # --skip-missing denies a rescue only when a file is absent; an image
+    # that is there but cannot be read aborts the whole batch.
+    inputs = _copy_cells(cell_inputs, tmp_path)
+    image = inputs["images"] / "p.ppm"
+    image.write_bytes(image.read_bytes()[:-1])
+    out = tmp_path / "pred.csv"
+    assert run(_cell_command("rescue", inputs, out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {image}:")
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
-"""CLI-level differential oracle: `rescue --trace` on small random corpora,
-run through `cli.run` and read back with `csv`, checked row by row against
-the straight-line reference."""
+"""CLI-level differential oracle: `rescue --trace`, `ensemble` and
+`evaluate --confusion` on small random corpora, run through `cli.run` and
+read back with `csv`, checked row by row against the straight-line reference
+or an independent tally."""
 
 import csv
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,11 +43,19 @@ def _prob_rows(draw, k):
 
 
 @st.composite
-def _corpora(draw):
+def _catalogs(draw):
     others = draw(st.permutations(_OTHER_CLASSES))[: draw(st.integers(0, len(_OTHER_CLASSES)))]
-    names = draw(st.permutations(["PLY", "PC", *others]))
-    ids = draw(st.lists(st.text(_ID_ALPHABET, min_size=1, max_size=5),
-                        min_size=1, max_size=10, unique=True))
+    return draw(st.permutations(["PLY", "PC", *others]))
+
+
+_IDS = st.lists(st.text(_ID_ALPHABET, min_size=1, max_size=5), min_size=1, max_size=10,
+                unique=True)
+
+
+@st.composite
+def _corpora(draw):
+    names = draw(_catalogs())
+    ids = draw(_IDS)
     rows = [(image_id, draw(_prob_rows(len(names))), draw(_prob_rows(len(names))),
              draw(st.sampled_from(sorted(POOL)))) for image_id in ids]
     boost = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 4.0]), st.floats(1.0, 10.0))
@@ -147,3 +158,68 @@ def test_rescue_trace_matches_reference_through_the_cli(tmp_path_factory, corpus
     expected_pred, expected_trace = _expected_rows(names, rows, config, load_gate(work / "pc.gate"))
     assert _read_rows(work / "pred1.csv") == expected_pred
     assert _read_rows(work / "trace1.csv") == expected_trace
+
+
+@st.composite
+def _scored_tables(draw):
+    """Two folds and a prediction file in one order, and a second fold and a
+    truth file listing the same ids in drawn permutations of it."""
+    names = draw(_catalogs())
+    ids = draw(_IDS)
+    rows = [(image_id, draw(_prob_rows(len(names))), draw(_prob_rows(len(names))),
+             draw(st.sampled_from(names)), draw(st.sampled_from(names))) for image_id in ids]
+    orders = [draw(st.permutations(range(len(rows)))) for _ in range(2)]
+    return names, rows, *orders
+
+
+def _macro_f1(truth, pred, names):
+    """Mean over the catalog of 2TP / (2TP + FP + FN), 0 when that is 0/0."""
+    total = Fraction(0)
+    for name in names:
+        tp = sum(t == p == name for t, p in zip(truth, pred))
+        wrong = sum((t == name) != (p == name) for t, p in zip(truth, pred))
+        total += Fraction(2 * tp, 2 * tp + wrong) if tp or wrong else 0
+    return total / len(names)
+
+
+@given(_scored_tables())
+@settings(max_examples=40, deadline=None)
+def test_ensemble_and_evaluate_join_by_id_through_the_cli(tmp_path_factory, tables):
+    names, rows, fold_order, truth_order = tables
+    work = tmp_path_factory.mktemp("joins")
+    header = ["image_id", *names]
+    _write_csv(work / "a.csv", header, [[i, *map(repr, p)] for i, p, _, _, _ in rows])
+    _write_csv(work / "b.csv", header,
+               [[rows[r][0], *map(repr, rows[r][2])] for r in fold_order])
+    _write_csv(work / "pred.csv", ["image_id", "label"], [[i, p] for i, _, _, p, _ in rows])
+    _write_csv(work / "truth.csv", ["image_id", "label"],
+               [[rows[r][0], rows[r][4]] for r in truth_order])
+    (work / "labels.txt").write_text("".join(name + "\n" for name in names), encoding="utf-8")
+    labels = ["--labels", str(work / "labels.txt")]
+    outputs = []
+    for threads in ("1", "2"):
+        mean, report, confusion = (work / f"{threads}-{name}" for name in
+                                   ("mean.csv", "report.txt", "confusion.csv"))
+        assert run(["--threads", threads, "ensemble", str(work / "a.csv"), str(work / "b.csv"),
+                    *labels, "--out", str(mean)]) == 0
+        assert run(["--threads", threads, "evaluate", "--pred", str(work / "pred.csv"),
+                    "--truth", str(work / "truth.csv"), *labels, "--out", str(report),
+                    "--confusion", str(confusion)]) == 0
+        outputs.append([path.read_bytes() for path in (mean, report, confusion)])
+    assert outputs[0] == outputs[1]
+
+    assert _read_rows(work / "1-mean.csv") == [header] + [
+        [image_id, *(f"{(a + b) / 2:.12g}" for a, b in zip(p_a, p_b))]
+        for image_id, p_a, p_b, _, _ in rows
+    ]
+    truth = [t for _, _, _, _, t in rows]
+    pred = [p for _, _, _, p, _ in rows]
+    samples, macro_f1 = (work / "1-report.txt").read_text(encoding="utf-8").splitlines()[:2]
+    assert samples == f"samples: {len(rows)}"
+    assert macro_f1.startswith("macro_f1: ")
+    # .6f rounds to within 5e-7; allow for the float sum on top of that.
+    assert abs(float(macro_f1.split()[1]) - _macro_f1(truth, pred, names)) <= 5e-7 + 1e-12
+    tally = Counter(zip(truth, pred))
+    assert _read_rows(work / "1-confusion.csv") == [["true\\pred", *names]] + [
+        [t, *(str(tally[t, p]) for p in names)] for t in names
+    ]

@@ -19,11 +19,14 @@ from wbcrescue.core import (
     normalize_probs,
     parse_config_file,
     read_csv,
+    read_keyed_csv,
     write_csv,
 )
 from wbcrescue.ingest import parse_class_counts, parse_prob_table
 from wbcrescue.metrics import read_label_csv
 from wbcrescue.morphology import load_gate, read_features_csv
+
+import synth
 
 
 def test_label_set_identity_construction():
@@ -121,6 +124,13 @@ def test_csv_round_trip_keeps_rows_and_physical_lines(tmp_path_factory, rows):
     assert [line for line, _ in read] == expected
     text = path.read_bytes().decode("utf-8")
     assert len(re.findall("\r\n|\r|\n", text)) == (expected[-1] if rows else 1)
+
+
+def test_synth_csv_ids_needing_quotes_read_back(tmp_path):
+    ids = ["a\rb", "c\r\nd", "e,f", "g\nh", "plain"]
+    path = synth.write_csv(tmp_path / "ids.csv", ["image_id", "label"],
+                           [[image_id, "SNE"] for image_id in ids])
+    assert [row[0] for _, row in read_keyed_csv(path, ["image_id", "label"])] == ids
 
 
 def test_normalize_accepts_exact_sum():

@@ -150,7 +150,7 @@ def test_parse_prob_table_happy_path(tmp_path, labels2):
     path = write_csv(tmp_path / "p.csv", ["image_id", "SNE", "LY"], [["img1", "0.7", "0.3"]])
     table = parse_prob_table(path, labels2)
     assert table.ids == ("img1",)
-    assert table.aligned_to(["img1"])[0].sum() == pytest.approx(1.0, abs=1e-12)
+    assert table.matrix[table.ids.index("img1")].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parse_prob_table_rejects_header_mismatch(tmp_path, labels2):
@@ -172,7 +172,7 @@ def test_parse_prob_table_renormalizes_small_drift(tmp_path, labels2):
     table = parse_prob_table(path, labels2)
     total = 0.70005 + 0.29945
     expected = np.array([0.70005 / total, 0.29945 / total])
-    assert np.allclose(table.aligned_to(["img1"])[0], expected, atol=1e-12)
+    assert np.allclose(table.matrix[table.ids.index("img1")], expected, atol=1e-12)
 
 
 def test_parse_prob_table_names_bad_cell(tmp_path, labels2):
@@ -200,7 +200,7 @@ def test_parse_prob_table_accepts_crlf(tmp_path, labels2):
     path = tmp_path / "p.csv"
     path.write_bytes(b"image_id,SNE,LY\r\nimg1,0.6,0.4\r\n")
     table = parse_prob_table(path, labels2)
-    assert table.aligned_to(["img1"])[0][0] == pytest.approx(0.6, abs=1e-12)
+    assert table.matrix[table.ids.index("img1")][0] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_prob_table_serialization_round_trip(tmp_path, labels2):
@@ -215,7 +215,7 @@ def test_prob_table_serialization_round_trip(tmp_path, labels2):
     reparsed = parse_prob_table(tmp_path / "b.csv", labels2)
     assert reparsed.ids == original.ids
     for image_id, probs in zip(original.ids, original.matrix):
-        assert np.allclose(reparsed.aligned_to([image_id])[0], probs, atol=1e-9)
+        assert np.allclose(reparsed.matrix[reparsed.ids.index(image_id)], probs, atol=1e-9)
 
 
 
@@ -427,7 +427,7 @@ def test_table_matrix_is_a_read_only_copy(labels2):
     # Another table's read-only matrix is accepted, and copied again.
     again = ProbTable(labels2, table.ids, table.matrix)
     assert not again.matrix.flags.writeable and again.matrix is not table.matrix
-    assert list(again.aligned_to(["b", "a"]).ravel()) == [0.5, 0.5, 0.25, 0.75]
+    assert list(again.matrix[[1, 0]].ravel()) == [0.5, 0.5, 0.25, 0.75]
 
 
 # ---------------------------------------------------------- class counts
@@ -477,14 +477,14 @@ def _table(labels2, rows):
 def test_average_single_table_is_identity(labels2):
     table = _table(labels2, [("img1", [0.8, 0.2])])
     merged = average_prob_tables([table])
-    assert np.allclose(merged.aligned_to(["img1"])[0], [0.8, 0.2])
+    assert np.allclose(merged.matrix[merged.ids.index("img1")], [0.8, 0.2])
 
 
 def test_average_two_tables(labels2):
     a = _table(labels2, [("img1", [0.8, 0.2])])
     b = _table(labels2, [("img1", [0.6, 0.4])])
     merged = average_prob_tables([a, b])
-    assert np.allclose(merged.aligned_to(["img1"])[0], [0.7, 0.3], atol=1e-15)
+    assert np.allclose(merged.matrix[merged.ids.index("img1")], [0.7, 0.3], atol=1e-15)
 
 
 def test_average_matches_brute_force(labels2):
@@ -501,12 +501,27 @@ def test_average_matches_brute_force(labels2):
     for image_id in ids:
         expected = [0.0, 0.0]
         for table in tables:
-            row = table.aligned_to([image_id])[0]
+            row = table.matrix[table.ids.index(image_id)]
             expected[0] += row[0]
             expected[1] += row[1]
         expected = [value / 5 for value in expected]
-        assert np.allclose(merged.aligned_to([image_id])[0], expected, atol=1e-12)
-        assert abs(merged.aligned_to([image_id])[0].sum() - 1.0) <= 1e-3
+        assert np.allclose(merged.matrix[merged.ids.index(image_id)], expected, atol=1e-12)
+        assert abs(merged.matrix[merged.ids.index(image_id)].sum() - 1.0) <= 1e-3
+
+
+@given(count=st.integers(1, 12), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_average_is_np_mean_of_the_rows_joined_by_id(count, rows, seed):
+    rng = np.random.default_rng(seed)
+    labels = LabelSet(["C0", "C1", "C2"])
+    ids = [f"img{i}" for i in range(rows)]
+    matrices = [rng.dirichlet(np.ones(3), size=rows) for _ in range(count)]
+    orders = [rng.permutation(rows) for _ in range(count)]
+    tables = [ProbTable(labels, [ids[r] for r in order], matrix[order])
+              for matrix, order in zip(matrices, orders)]
+    merged = average_prob_tables(tables)
+    assert merged.ids == tables[0].ids
+    expected = np.mean([matrix[orders[0]] for matrix in matrices], axis=0)
+    assert np.array_equal(merged.matrix, expected)
 
 
 def test_average_keeps_first_table_order(labels2):

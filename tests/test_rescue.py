@@ -460,7 +460,7 @@ def test_batch_equals_sequential_application(gate):
     source = CountingSource(samples)
     batch = rescue_batch(swin, med, source, _counts(), gate, config, threads=4)
     assert _with_final_labels(batch) == [
-        _oracle(image_id, p_swin, med.aligned_to([image_id])[0], source, boosts, gate, config)
+        _oracle(image_id, p_swin, med.matrix[med.ids.index(image_id)], source, boosts, gate, config)
         for image_id, p_swin in zip(swin.ids, swin.matrix)
     ]
 
