@@ -274,8 +274,14 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
 
 
 def _luminance_at(sample: CellSample, flat) -> np.ndarray:
-    """Luminance of the sample's pixels at the given flat row-major indices."""
-    return luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
+    """Luminance of the sample's pixels at the given flat row-major indices.
+
+    Weights the gathered uint8 channels directly: an integer times a float
+    is the float64 product `luminance` forms, without a float64 copy of
+    the gathered pixels.
+    """
+    rgb = np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0)
+    return rgb[:, 0] * LUMA_WEIGHTS[0] + rgb[:, 1] * LUMA_WEIGHTS[1] + rgb[:, 2] * LUMA_WEIGHTS[2]
 
 
 def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,14 +1,18 @@
 import csv
 import os
 import shutil
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wbcrescue import rescue
+from wbcrescue import cli, rescue
 from wbcrescue.cli import run
 from wbcrescue.core import default_label_set
 from wbcrescue.ingest import (
@@ -328,6 +332,90 @@ def test_noise_score_quotes_ids_with_commas(tmp_path):
     assert run(["noise-score", "--images", str(images), "--out", str(scores)]) == 0
     with open(scores, newline="", encoding="utf-8") as handle:
         assert list(csv.reader(handle)) == [["image_id", "residual"], ["a,b", "0.000000"]]
+
+
+def _write_cells(images, count, size):
+    images.mkdir()
+    rng = np.random.default_rng(11)
+    for i in range(count):
+        write_pnm(images / f"c{i:02d}.ppm", rng.integers(0, 256, (size, size, 3), dtype=np.uint8))
+
+
+def _fail(exc):
+    def fail(*_):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("patch", ["CDLL raises", "no mallopt", "confstr raises"])
+def test_allocator_tuning_is_a_silent_no_op_where_it_cannot_run(tmp_path, monkeypatch, capsys,
+                                                                 patch):
+    images = tmp_path / "images"
+    _write_cells(images, 3, 12)
+    argv = ["noise-score", "--images", str(images), "--out"]
+    assert run([*argv, str(tmp_path / "tuned.csv")]) == 0
+    if patch == "CDLL raises":
+        monkeypatch.setattr(cli.ctypes, "CDLL", _fail(OSError("no such library")))
+    elif patch == "no mallopt":
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    else:
+        monkeypatch.setattr(cli.os, "confstr", _fail(ValueError("unrecognized configuration name")))
+    capsys.readouterr()
+    assert run([*argv, str(tmp_path / "untuned.csv")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "untuned.csv").read_bytes() == (tmp_path / "tuned.csv").read_bytes()
+
+
+def test_allocator_tuning_sets_both_glibc_thresholds(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    images = tmp_path / "images"
+    _write_cells(images, 1, 8)
+    assert run(["noise-score", "--images", str(images), "--out", str(tmp_path / "s.csv")]) == 0
+    # M_MMAP_THRESHOLD 4 MiB, then M_TRIM_THRESHOLD 64 MiB.
+    assert calls == [(-3, 4 << 20), (-1, 64 << 20)]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+_FAULTS_AROUND_RUN = """
+import resource, sys
+from wbcrescue.cli import run
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = run(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator is tuned on glibc only")
+def test_noise_score_reuses_heap_pages_from_image_to_image(tmp_path):
+    # Each 128 px cell's float64 temporaries are ~131 KB. If freed heap went
+    # back to the kernel after every image, the next image would fault it
+    # in again: over 200 minor faults per image, against under 10 kept.
+    images, count = tmp_path / "images", 40
+    _write_cells(images, count, 128)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_AROUND_RUN, "--threads", "1", "noise-score",
+         "--images", str(images), "--out", str(tmp_path / "scores.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    code, faults = map(int, proc.stdout.split())
+    assert code == 0
+    assert faults < 20 * count
 
 
 def test_inject_noise_is_order_independent_per_image(tmp_path):

@@ -4,8 +4,10 @@ read back with `csv`, checked row by row against the straight-line reference
 or an independent tally."""
 
 import csv
+import io
 import math
 from collections import Counter
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbcrescue.cli import run
-from wbcrescue.core import ValidationError
+from wbcrescue.core import ENTRY_EPSILON, SUM_DELTA, ValidationError
 from wbcrescue.morphology import (
     load_gate,
     mahalanobis,
@@ -31,15 +33,41 @@ _OTHER_CLASSES = ["SNE", "LY", "VLY", "WBC06", "WBC07", "WBC08"]
 # Characters csv must quote, a leading space and non-ASCII text; no path
 # separator, so every id names a file.
 _ID_ALPHABET = 'ab,"\r\n é細'
-# Probabilities are multiples of 1/16: exact in binary, so each row sums to
-# exactly 1, parsing and renormalizing change nothing, and ties are exact.
+# Probabilities are multiples of 1/16: exact in binary, so ties are exact,
+# and an unscaled row sums to exactly 1 and survives parsing and
+# renormalizing unchanged.
 _SIXTEENTHS = 16
+# Row sums a relative 1e-6 of SUM_DELTA inside or outside 1 +- SUM_DELTA:
+# far wider than the rounding of a sum of at most 8 entries.
+_INSIDE, _OUTSIDE = SUM_DELTA * (1 - 1e-6), SUM_DELTA * (1 + 1e-6)
 
 
 @st.composite
 def _prob_rows(draw, k):
     cuts = sorted(draw(st.lists(st.integers(0, _SIXTEENTHS), min_size=k - 1, max_size=k - 1)))
     return [(high - low) / _SIXTEENTHS for low, high in zip([0, *cuts], [*cuts, _SIXTEENTHS])]
+
+
+def _scaled(row, scale):
+    """`row` scaled to sum `scale`; a scale above 1 that would push an entry
+    past 1 + ENTRY_EPSILON is mirrored below 1, so only the sum is off."""
+    if max(row) * scale > 1 + ENTRY_EPSILON:
+        scale = 2 - scale
+    return [p * scale for p in row]
+
+
+@st.composite
+def _edge_rows(draw, k):
+    """Rows whose sums lie just inside the SUM_DELTA band, or at 1."""
+    scale = draw(st.one_of(st.sampled_from([1.0, 1 - _INSIDE, 1 + _INSIDE]),
+                           st.floats(1 - _INSIDE, 1 + _INSIDE)))
+    return _scaled(draw(_prob_rows(k)), scale)
+
+
+def _renormalized(row):
+    """The row as `rescue` holds it: parsed from its repr, divided by its sum."""
+    parsed = np.array([float(repr(p)) for p in row])
+    return (parsed / parsed.sum()).tolist()
 
 
 @st.composite
@@ -56,13 +84,16 @@ _IDS = st.lists(st.text(_ID_ALPHABET, min_size=1, max_size=5), min_size=1, max_s
 def _corpora(draw):
     names = draw(_catalogs())
     ids = draw(_IDS)
-    rows = [(image_id, draw(_prob_rows(len(names))), draw(_prob_rows(len(names))),
+    rows = [(image_id, draw(_edge_rows(len(names))), draw(_edge_rows(len(names))),
              draw(st.sampled_from(sorted(POOL)))) for image_id in ids]
     boost = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 4.0]), st.floats(1.0, 10.0))
     config = {
         "boost.PLY": draw(boost),
         "boost.PC": draw(boost),
-        "tau": draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))),
+        # A tau equal to a renormalized verifier entry puts a `>= tau` test
+        # on that exact value.
+        "tau": draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0),
+                              st.sampled_from([p for row in rows for p in _renormalized(row[2])]))),
         "tau_s": draw(st.one_of(st.sampled_from([-math.inf, math.inf, 0.15]),
                                 st.floats(-1.0, 1.0))),
         "tau_m": draw(st.one_of(st.sampled_from([-math.inf, math.inf, 3.0]),
@@ -71,11 +102,17 @@ def _corpora(draw):
     return names, rows, draw(st.permutations(range(len(rows)))), config
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     # Every field quoted: before Python 3.13, csv leaves a bare \r unquoted
     # unless the line terminator holds one.
+    text = io.StringIO()
+    csv.writer(text, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+    return text.getvalue()
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+        handle.write(_csv_text(header, rows))
 
 
 def _write_corpus(work, names, rows, med_order, config):
@@ -108,6 +145,7 @@ def _expected_rows(names, rows, config, gate):
     ]
     for image_id, p_swin, p_med, key in rows:
         sample = POOL[key]
+        p_swin, p_med = _renormalized(p_swin), _renormalized(p_med)
         label, phase = reference_decide(p_swin, p_med, factors, config["tau"], config["tau_s"],
                                         config["tau_m"], sample, gate, ply, pc)
         candidate = argmax_first([p * f for p, f in zip(p_swin, factors)])
@@ -158,6 +196,42 @@ def test_rescue_trace_matches_reference_through_the_cli(tmp_path_factory, corpus
     expected_pred, expected_trace = _expected_rows(names, rows, config, load_gate(work / "pc.gate"))
     assert _read_rows(work / "pred1.csv") == expected_pred
     assert _read_rows(work / "trace1.csv") == expected_trace
+
+
+@st.composite
+def _corpora_with_a_bad_sum(draw):
+    """A corpus in which one row of one table sums to just outside the
+    SUM_DELTA band; returns it with that table's name and the row's place
+    in the file."""
+    names, rows, med_order, config = draw(_corpora())
+    table = draw(st.sampled_from(["swin", "med"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    scale = draw(st.one_of(st.sampled_from([1 - _OUTSIDE, 1 + _OUTSIDE]),
+                           st.floats(0.9, 1 - _OUTSIDE), st.floats(1 + _OUTSIDE, 1.1)))
+    bad = _scaled(draw(_prob_rows(len(names))), scale)
+    r = at if table == "swin" else med_order[at]
+    image_id, p_swin, p_med, key = rows[r]
+    rows[r] = (image_id, bad, p_med, key) if table == "swin" else (image_id, p_swin, bad, key)
+    return (names, rows, med_order, config), table, at
+
+
+@given(_corpora_with_a_bad_sum())
+@settings(max_examples=20, deadline=None)
+def test_rescue_names_the_line_of_a_sum_outside_the_band(tmp_path_factory, case):
+    (names, rows, med_order, config), table, at = case
+    work = tmp_path_factory.mktemp("bad-sum")
+    _write_corpus(work, names, rows, med_order, config)
+    argv = ["rescue", "--out", str(work / "pred.csv")]
+    for flag, name in _INPUTS.items():
+        argv += [flag, str(work / name)]
+    with redirect_stderr(io.StringIO()) as err:
+        assert run(argv) == 1
+    ids = [rows[r][0] for r in (range(len(rows)) if table == "swin" else med_order)]
+    # The physical line the row ends on: a quoted id may hold \r and \n.
+    line = len(_csv_text(["image_id", *names], [[i] for i in ids[: at + 1]]).splitlines())
+    assert (f"error: {work / (table + '.csv')}:{line}: probability sum out of tolerance"
+            in err.getvalue())
+    assert not (work / "pred.csv").exists()
 
 
 @st.composite

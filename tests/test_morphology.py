@@ -11,6 +11,7 @@ from wbcrescue.morphology import (
     _NEXT_DIRECTION,
     _best_threshold_split,
     _invert_spd_3x3,
+    _luminance_at,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
@@ -660,6 +661,26 @@ def test_kmeans_large_inputs_reach_the_optimum(sample):
     got = _returned_wcss(sample, nucleus, cytoplasm)
     want = _oracle_best_wcss(list(luminance(sample.pixels)[sample.mask]))
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@st.composite
+def _gathers(draw):
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    pixels.reshape(-1)[: draw(st.integers(0, 6))] = draw(st.sampled_from([0, 255]))
+    flat = np.flatnonzero(rng.random(height * width) < draw(st.floats(0.0, 1.0)))
+    return CellSample("cell", pixels, np.ones((height, width), dtype=bool)), flat
+
+
+@given(_gathers())
+@settings(max_examples=200, deadline=None)
+def test_luminance_at_weights_the_uint8_channels_as_luminance_does(gather):
+    sample, flat = gather
+    want = luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
+    got = _luminance_at(sample, flat)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_threshold_is_globally_optimal_among_all_partitions():
