@@ -21,6 +21,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .core import (
+    Phase,
     RescueConfig,
     ValidationError,
     default_label_set,
@@ -167,7 +168,7 @@ def _cmd_rescue(args) -> int:
         skip_missing=args.skip_missing,
         threads=args.threads,
     )
-    rescued = sum(1 for t in traces if t.phase_reached.value == "Rescued")
+    rescued = sum(1 for t in traces if t.phase_reached is Phase.RESCUED)
     _info(args, f"decided {len(traces)} images, rescued {rescued}")
     with _atomic(args.out) as tmp:
         write_predictions_csv(tmp, traces, label_set)

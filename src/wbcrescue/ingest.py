@@ -153,7 +153,6 @@ def load_cell_sample(image_path, mask_path, image_id: str) -> CellSample:
     if mask_raw.ndim != 2:
         raise ValidationError(f"{mask_path}: mask must be P5 grayscale")
     mask = mask_raw > 127
-    pixels = np.ascontiguousarray(pixels)
     pixels.flags.writeable = False
     mask.flags.writeable = False
     try:

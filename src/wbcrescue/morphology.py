@@ -17,8 +17,16 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
 def luminance(pixels) -> np.ndarray:
-    """Rec.601 luminance of an (H, W, 3) image as float64."""
-    arr = np.asarray(pixels, dtype=np.float64)
+    """Rec.601 luminance of an (..., 3) array of pixels as float64.
+
+    Bool and integer channels are weighted as they are: an integer times a
+    float is the float64 product, without a float64 copy of the pixels.
+    Every other dtype is converted to float64 first, since a float32 array
+    weighted directly would stay float32.
+    """
+    arr = np.asarray(pixels)
+    if arr.dtype.kind not in "biu":
+        arr = arr.astype(np.float64, copy=False)
     return (
         arr[..., 0] * LUMA_WEIGHTS[0]
         + arr[..., 1] * LUMA_WEIGHTS[1]
@@ -273,17 +281,6 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     return int(candidates[np.argmin(costs)])
 
 
-def _luminance_at(sample: CellSample, flat) -> np.ndarray:
-    """Luminance of the sample's pixels at the given flat row-major indices.
-
-    Weights the gathered uint8 channels directly: an integer times a float
-    is the float64 product `luminance` forms, without a float64 copy of
-    the gathered pixels.
-    """
-    rgb = np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0)
-    return rgb[:, 0] * LUMA_WEIGHTS[0] + rgb[:, 1] * LUMA_WEIGHTS[1] + rgb[:, 2] * LUMA_WEIGHTS[2]
-
-
 def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sample's foreground gathered once and split by 2-means.
 
@@ -296,7 +293,7 @@ def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.nd
     flat = np.flatnonzero(np.asarray(sample.mask, dtype=bool))
     if flat.size == 0:
         raise ValidationError(f"{sample.image_id}: empty mask")
-    values = _luminance_at(sample, flat)
+    values = luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
     if values.size < 2:
         raise ValidationError(f"{sample.image_id}: need at least 2 foreground pixels to cluster")
     sorted_values = np.sort(values)

@@ -91,12 +91,9 @@ def phase1_candidate(
     return base, np.where(np.isin(top, sorted(boosts.rare_indices)), top, -1)
 
 
-@dataclass(frozen=True)
-class Phase3Result:
-    passed: bool
-    spikiness: float | None = None
-    mahalanobis: float | None = None
-    error: str | None = None
+def _denial(exc: Exception) -> tuple[Phase, None, None, str]:
+    """The phase-3 outcome of a row whose shape could not be judged."""
+    return Phase.FAILED_MORPHOLOGY, None, None, str(exc)
 
 
 def phase3_filter(
@@ -104,19 +101,23 @@ def phase3_filter(
     sample: CellSample,
     gate: GaussianGate | None,
     config: RescueConfig,
-) -> Phase3Result:
+) -> tuple[Phase, float | None, float | None, str | None]:
     """Apply the class-specific shape filter.
 
-    A sample whose morphology cannot be measured (empty mask, flat
-    luminance) fails the filter rather than erroring out: an unmeasurable
-    cell must not be rescued.
+    Returns the last four fields of the row's `DecisionTrace`, in field
+    order: `(phase_reached, spikiness, mahalanobis, error)`, the phase being
+    `Phase.RESCUED` or `Phase.FAILED_MORPHOLOGY`. A sample whose morphology
+    cannot be measured (empty mask, flat luminance) is denied with the
+    measurement's error rather than erroring out: an unmeasurable cell must
+    not be rescued.
     """
     if candidate_name == SPIKY_CLASS:
         try:
             score = spikiness(trace_contour(sample.mask))
         except ValidationError as exc:
-            return Phase3Result(False, error=str(exc))
-        return Phase3Result(score > config.tau_s, spikiness=score)
+            return _denial(exc)
+        phase = Phase.RESCUED if score > config.tau_s else Phase.FAILED_MORPHOLOGY
+        return phase, score, None, None
     if candidate_name == GATED_CLASS:
         if gate is None:
             raise ValidationError(
@@ -125,9 +126,10 @@ def phase3_filter(
         try:
             vector = morph_vector(sample)
         except ValidationError as exc:
-            return Phase3Result(False, error=str(exc))
+            return _denial(exc)
         distance = mahalanobis(gate, vector)
-        return Phase3Result(distance <= config.tau_m, mahalanobis=distance)
+        phase = Phase.RESCUED if distance <= config.tau_m else Phase.FAILED_MORPHOLOGY
+        return phase, None, distance, None
     raise ValidationError(f"no shape filter defined for class {candidate_name!r}")
 
 
@@ -188,18 +190,10 @@ def rescue_batch(
         except SampleNotFoundError as exc:
             if not skip_missing:
                 raise
-            result = Phase3Result(False, error=str(exc))
+            outcome = _denial(exc)
         else:
-            result = phase3_filter(label_set.name_at(row_candidate), sample, gate, config)
-        return DecisionTrace(
-            image_id,
-            int(base[row]),
-            row_candidate,
-            Phase.RESCUED if result.passed else Phase.FAILED_MORPHOLOGY,
-            result.spikiness,
-            result.mahalanobis,
-            error=result.error,
-        )
+            outcome = phase3_filter(label_set.name_at(row_candidate), sample, gate, config)
+        return DecisionTrace(image_id, int(base[row]), row_candidate, *outcome)
 
     traces = [
         DecisionTrace(image_id, b, c, Phase.FAILED_SEMANTIC)

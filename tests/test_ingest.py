@@ -105,6 +105,7 @@ def test_load_cell_sample_promotes_grayscale(tmp_path):
     sample = load_cell_sample(image_path, mask_path, "cell")
     assert sample.pixels.shape == (2, 2, 3)
     assert tuple(sample.pixels[0, 0]) == (7, 7, 7)
+    assert sample.pixels.flags.c_contiguous
     assert int(sample.mask.sum()) == 4
 
 
@@ -114,6 +115,7 @@ def test_full_mask_counts_all_foreground(tmp_path):
     write_pnm(tmp_path / "c.ppm", image)
     write_pnm(tmp_path / "m.pgm", mask)
     sample = load_cell_sample(tmp_path / "c.ppm", tmp_path / "m.pgm", "c")
+    assert sample.pixels.flags.c_contiguous
     assert int(sample.mask.sum()) == 16
 
 

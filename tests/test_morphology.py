@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wbcrescue.core import ValidationError
 from wbcrescue.ingest import CellSample
@@ -11,7 +12,7 @@ from wbcrescue.morphology import (
     _NEXT_DIRECTION,
     _best_threshold_split,
     _invert_spd_3x3,
-    _luminance_at,
+    LUMA_WEIGHTS,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
@@ -663,23 +664,39 @@ def test_kmeans_large_inputs_reach_the_optimum(sample):
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _luminance_via_float64_copy(pixels):
+    """The reference formula: weight a float64 copy of the channels."""
+    arr = np.asarray(pixels, dtype=np.float64)
+    red, green, blue = LUMA_WEIGHTS
+    return arr[..., 0] * red + arr[..., 1] * green + arr[..., 2] * blue
+
+
+_PIXEL_ELEMENTS = {
+    np.dtype(np.bool_): st.booleans(),
+    np.dtype(np.uint8): None,
+    np.dtype(np.uint16): None,
+    np.dtype(np.int16): None,
+    np.dtype(np.int64): st.integers(-(2**62), 2**62) | st.sampled_from([-(2**62), 2**62]),
+    np.dtype(np.float16): st.floats(width=16, allow_nan=False, allow_infinity=False),
+    np.dtype(np.float32): st.floats(width=32, allow_nan=False, allow_infinity=False),
+    np.dtype(np.float64): st.floats(-1e300, 1e300),
+}
+
+
 @st.composite
-def _gathers(draw):
-    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
-    pixels.reshape(-1)[: draw(st.integers(0, 6))] = draw(st.sampled_from([0, 255]))
-    flat = np.flatnonzero(rng.random(height * width) < draw(st.floats(0.0, 1.0)))
-    return CellSample("cell", pixels, np.ones((height, width), dtype=bool)), flat
+def _pixel_arrays(draw):
+    dtype = draw(st.sampled_from(list(_PIXEL_ELEMENTS)))
+    leading = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=6))
+    pixels = draw(hnp.arrays(dtype, (*leading, 3), elements=_PIXEL_ELEMENTS[dtype]))
+    return pixels.tolist() if draw(st.booleans()) else pixels
 
 
-@given(_gathers())
-@settings(max_examples=200, deadline=None)
-def test_luminance_at_weights_the_uint8_channels_as_luminance_does(gather):
-    sample, flat = gather
-    want = luminance(np.asarray(sample.pixels).reshape(-1, 3).take(flat, axis=0))
-    got = _luminance_at(sample, flat)
-    assert got.dtype == want.dtype
+@given(_pixel_arrays())
+@settings(max_examples=300, deadline=None)
+def test_luminance_matches_the_float64_copy_formula_for_every_dtype(pixels):
+    want = _luminance_via_float64_copy(pixels)
+    got = luminance(pixels)
+    assert got.dtype == np.float64 == want.dtype
     assert np.array_equal(got, want)
 
 

@@ -15,6 +15,7 @@ from wbcrescue.core import (
 )
 from wbcrescue.ingest import ProbTable, SampleNotFoundError
 from wbcrescue.morphology import (
+    GaussianGate,
     fit_gaussian_gate,
     kmeans2_luminance,
     morph_vector,
@@ -162,26 +163,28 @@ def test_phase2_threshold_semantics(gate):
 
 def test_phase3_spiky_candidate(gate):
     config = RescueConfig(tau_s=0.15)
-    result = phase3_filter("PLY", _spiky_sample(), gate, config)
-    assert result.passed and result.spikiness > 0.15
-    result = phase3_filter("PLY", _round_sample(), gate, config)
-    assert not result.passed and result.spikiness <= 0.15
+    phase, score, distance, error = phase3_filter("PLY", _spiky_sample(), gate, config)
+    assert phase is Phase.RESCUED and score > 0.15
+    assert distance is None and error is None
+    phase, score, distance, error = phase3_filter("PLY", _round_sample(), gate, config)
+    assert phase is Phase.FAILED_MORPHOLOGY and score <= 0.15
+    assert distance is None and error is None
 
 
 def test_phase3_gate_candidate(gate):
     config = RescueConfig(tau_m=3.0)
     sample = eccentric_cell(nucleus_shift=3.0)
-    result = phase3_filter("PC", sample, gate, config)
-    assert result.mahalanobis is not None
-    result_mean = phase3_filter("PC", sample, gate, RescueConfig(tau_m=math.inf))
-    assert result_mean.passed
+    _, score, distance, error = phase3_filter("PC", sample, gate, config)
+    assert score is None and distance is not None and error is None
+    phase, _, _, _ = phase3_filter("PC", sample, gate, RescueConfig(tau_m=math.inf))
+    assert phase is Phase.RESCUED
 
 
 def test_phase3_unmeasurable_sample_fails_closed(gate):
     flat = gray_sample(np.full((8, 8), 90, dtype=np.uint8), disc_mask(8, 3.0))
-    result = phase3_filter("PC", flat, gate, RescueConfig())
-    assert not result.passed
-    assert "degenerate luminance" in result.error
+    phase, score, distance, error = phase3_filter("PC", flat, gate, RescueConfig())
+    assert (phase, score, distance) == (Phase.FAILED_MORPHOLOGY, None, None)
+    assert "degenerate luminance" in error
 
 
 @pytest.mark.parametrize("make", [_spiky_sample, _round_sample])
@@ -203,6 +206,15 @@ def test_shape_filters_keep_no_state_on_the_sample(gate, make):
 def test_phase3_requires_gate_for_pc():
     with pytest.raises(ValidationError, match="gate model required"):
         phase3_filter("PC", _round_sample(), None, RescueConfig())
+
+
+def test_phase3_nan_distance_aborts_rather_than_denies():
+    covariance = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # Near-opposite infinities in the quadratic form sum to NaN.
+    far_mean = np.array([-1e308, -1e308, 0.0])
+    far = GaussianGate(far_mean, covariance, np.linalg.inv(covariance), 0.0, 30)
+    with pytest.raises(ValidationError, match="Mahalanobis distance is NaN"):
+        phase3_filter("PC", eccentric_cell(nucleus_shift=3.0), far, RescueConfig())
 
 
 def test_phase3_unknown_class_is_config_error(gate):
@@ -269,17 +281,11 @@ def _oracle(image_id, p_swin, p_med, source, boosts, gate_model, config, skip_mi
             image_id, base, candidate, Phase.FAILED_MORPHOLOGY, error=str(exc)
         )
         return trace, base
-    result = phase3_filter(LABELS.name_at(candidate), sample, gate_model, config)
-    if result.passed:
-        trace = DecisionTrace(
-            image_id, base, candidate, Phase.RESCUED, result.spikiness, result.mahalanobis
-        )
-        return trace, candidate
-    trace = DecisionTrace(
-        image_id, base, candidate, Phase.FAILED_MORPHOLOGY,
-        result.spikiness, result.mahalanobis, error=result.error,
+    phase, score, distance, error = phase3_filter(
+        LABELS.name_at(candidate), sample, gate_model, config
     )
-    return trace, base
+    trace = DecisionTrace(image_id, base, candidate, phase, score, distance, error)
+    return trace, candidate if phase is Phase.RESCUED else base
 
 
 def _with_final_labels(traces):
