@@ -9,7 +9,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -179,15 +178,35 @@ def join_ids(ids: Sequence[str], other: Sequence[str], missing: str, extra: str)
     raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    r"""Write UTF-8 CSV with `\n` row ends. The writer runs with `\r\n` ends,
-    cut back per row, because before Python 3.13 `csv` quotes only the
-    terminator's characters and would leave a bare `\r` in a field unquoted."""
+def csv_field(value: object) -> str:
+    r"""`str(value)` as one CSV field: quoted, with each `"` doubled, when it
+    holds `,`, `"`, `\r` or `\n`. This is `csv.writer`'s minimal quoting with a
+    `\r\n` terminator, stated here so that every Python writes the same bytes
+    (before 3.13, `csv` quotes only the terminator's characters)."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    r"""Write UTF-8 CSV: the header, then `lines`, each one row already
+    rendered with `csv_field` and ending in `\n`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        sink = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
-        writer = csv.writer(sink, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(_csv_row(header))
+        handle.writelines(lines)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    r"""Write UTF-8 CSV with `\n` row ends, each value as `csv_field` renders
+    it. A row of one empty field is written `""`, as `csv` does, so that it
+    reads back as a row and not as a blank line."""
+    write_csv_lines(path, header, (_csv_row(row) for row in rows))
+
+
+def _csv_row(row: Sequence[object]) -> str:
+    fields = [csv_field(value) for value in row]
+    return ('""' if fields == [""] else ",".join(fields)) + "\n"
 
 
 def default_label_set() -> LabelSet:

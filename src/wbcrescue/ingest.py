@@ -11,8 +11,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (ClassCounts, LabelSet, ValidationError, join_ids, normalize_probs,
-                   read_csv, read_keyed_csv, write_csv)
+from .core import (ClassCounts, LabelSet, ValidationError, csv_field, join_ids,
+                   normalize_probs, read_csv, read_keyed_csv, write_csv_lines)
 from .netpbm import read_pnm
 
 
@@ -35,11 +35,12 @@ class ProbTable:
                 f"{len(self.ids)} ids by catalog size {len(label_set)}"
             )
         self.matrix.flags.writeable = False
-        seen: set[str] = set()
-        for image_id in self.ids:
-            if image_id in seen:
-                raise ValidationError(f"duplicate image_id {image_id!r}")
-            seen.add(image_id)
+        if len(set(self.ids)) < len(self.ids):
+            seen: set[str] = set()
+            for image_id in self.ids:
+                if image_id in seen:
+                    raise ValidationError(f"duplicate image_id {image_id!r}")
+                seen.add(image_id)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -83,13 +84,15 @@ def _check_prob_rows(path, lines, values, width: int) -> np.ndarray:
 
 
 def write_prob_table(path, table: ProbTable) -> None:
-    write_csv(
+    """Write the table as CSV, each probability with `.12g`. Rows are
+    converted one at a time: a whole-matrix `tolist()` would hold every
+    value as a Python float at once."""
+    template = "%s," + ",".join(["%.12g"] * len(table.label_set)) + "\n"
+    write_csv_lines(
         path,
         ["image_id", *table.label_set.names],
-        (
-            [image_id, *(f"{value:.12g}" for value in probs)]
-            for image_id, probs in zip(table.ids, table.matrix)
-        ),
+        (template % (csv_field(image_id), *row.tolist())
+         for image_id, row in zip(table.ids, table.matrix)),
     )
 
 

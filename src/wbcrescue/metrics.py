@@ -20,12 +20,14 @@ def build_confusion(
         )
     if len(truth) == 0:
         raise ValidationError("no samples to evaluate")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(truth, preds):
-        if not (0 <= t < num_classes and 0 <= p < num_classes):
-            raise ValidationError(f"class id out of range: truth={t}, pred={p}")
-        matrix[t, p] += 1
-    return matrix
+    t = np.asarray(truth, dtype=np.int64)
+    p = np.asarray(preds, dtype=np.int64)
+    bad = np.flatnonzero((t < 0) | (t >= num_classes) | (p < 0) | (p >= num_classes))
+    if bad.size:
+        row = int(bad[0])
+        raise ValidationError(f"class id out of range: truth={truth[row]}, pred={preds[row]}")
+    counts = np.bincount(t * num_classes + p, minlength=num_classes * num_classes)
+    return counts.reshape(num_classes, num_classes).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from .core import (
     Phase,
     RescueConfig,
     ValidationError,
+    csv_field,
     join_ids,
-    write_csv,
+    write_csv_lines,
 )
 from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
 from .morphology import (
@@ -209,28 +210,27 @@ def rescue_batch(
 
 
 def write_predictions_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
-    write_csv(
+    names = [csv_field(name) for name in label_set.names]
+    write_csv_lines(
         path,
         ["image_id", "label"],
-        ([trace.image_id, label_set.name_at(trace.final_label)] for trace in traces),
+        (f"{csv_field(trace.image_id)},{names[trace.final_label]}\n" for trace in traces),
     )
 
 
 def write_trace_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
     """Audit CSV; fields the pipeline never evaluated stay empty."""
-    write_csv(
+    names = [csv_field(name) for name in label_set.names]
+    write_csv_lines(
         path,
         ["image_id", "base", "candidate", "phase", "spikiness", "mahalanobis", "final"],
         (
-            [
-                trace.image_id,
-                label_set.name_at(trace.base_label),
-                "" if trace.candidate is None else label_set.name_at(trace.candidate),
-                trace.phase_reached.value,
-                "" if trace.spikiness is None else f"{trace.spikiness:.9g}",
-                "" if trace.mahalanobis is None else f"{trace.mahalanobis:.9g}",
-                label_set.name_at(trace.final_label),
-            ]
+            f"{csv_field(trace.image_id)},{names[trace.base_label]},"
+            f"{'' if trace.candidate is None else names[trace.candidate]},"
+            f"{trace.phase_reached.value},"
+            f"{'' if trace.spikiness is None else format(trace.spikiness, '.9g')},"
+            f"{'' if trace.mahalanobis is None else format(trace.mahalanobis, '.9g')},"
+            f"{names[trace.final_label]}\n"
             for trace in traces
         ),
     )

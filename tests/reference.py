@@ -1,8 +1,12 @@
 """The straight-line restatement of the three-phase decision, and the cells
 and gate it is checked on; shared by the acceptance criteria and the
-CLI-level oracle."""
+CLI-level oracle. Also the former `csv.writer`-based CSV writer, the oracle
+of the writers that render rows themselves."""
 
 from __future__ import annotations
+
+import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,3 +83,14 @@ def reference_decide(p_swin, p_med, factors, tau, tau_s, tau_m, sample, gate, pl
     if mahalanobis(gate, vector) <= tau_m:
         return pc, "Rescued"
     return base, "FailedMorphology"
+
+
+def csv_module_write(path, header, rows) -> None:
+    """The former `core.write_csv`: `csv.writer` with `\r\n` ends, cut back
+    to `\n` per row, so that a bare `\r` in a field is quoted before
+    Python 3.13 too."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        sink = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
+        writer = csv.writer(sink, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbcrescue.core import (
@@ -27,6 +27,7 @@ from wbcrescue.metrics import read_label_csv
 from wbcrescue.morphology import load_gate, read_features_csv
 
 import synth
+from reference import csv_module_write
 
 
 def test_label_set_identity_construction():
@@ -124,6 +125,33 @@ def test_csv_round_trip_keeps_rows_and_physical_lines(tmp_path_factory, rows):
     assert [line for line, _ in read] == expected
     text = path.read_bytes().decode("utf-8")
     assert len(re.findall("\r\n|\r|\n", text)) == (expected[-1] if rows else 1)
+
+
+_VALUES = st.one_of(
+    _CELLS,
+    st.sampled_from(["", "\r\n", '""', " , "]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(width=64),
+)
+
+
+@given(
+    header=st.lists(_CELLS, min_size=1, max_size=6),
+    rows=st.lists(st.lists(_VALUES, min_size=1, max_size=6), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_write_csv_matches_the_csv_module_writer(tmp_path_factory, header, rows):
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "new.csv", header, rows)
+    csv_module_write(folder / "old.csv", header, rows)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+def test_write_csv_quotes_a_row_of_one_empty_field(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["image_id"], [[""], ["a"]])
+    assert path.read_bytes() == b'image_id\n""\na\n'
+    assert [row for _, row in read_csv(path, ["image_id"])] == [[""], ["a"]]
 
 
 def test_synth_csv_ids_needing_quotes_read_back(tmp_path):

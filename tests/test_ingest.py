@@ -21,6 +21,7 @@ from wbcrescue.ingest import (
 )
 from wbcrescue.netpbm import read_pnm, write_pnm
 
+from reference import csv_module_write
 from synth import write_csv
 
 
@@ -219,6 +220,39 @@ def test_prob_table_serialization_round_trip(tmp_path, labels2):
     for image_id, probs in zip(original.ids, original.matrix):
         assert np.allclose(reparsed.matrix[reparsed.ids.index(image_id)], probs, atol=1e-9)
 
+
+
+_ODD_FLOATS = st.sampled_from([
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1.0, -1.0,
+    # Ties and near-ties at the 12th significant digit.
+    0.1234567890125, 0.9999999999995, 1.0000000000005e-5, 2.5e-12, 123456789012.5,
+])
+
+
+@st.composite
+def _written_tables(draw):
+    k = draw(st.integers(min_value=2, max_value=13))
+    names = draw(st.lists(st.text(alphabet='SNELY,"\r\n é', min_size=1, max_size=4),
+                          min_size=k, max_size=k, unique=True))
+    ids = draw(st.lists(st.text(alphabet='ab,"\r\n #é細', max_size=5),
+                        max_size=8, unique=True))
+    matrix = draw(hnp.arrays(np.float64, (len(ids), k),
+                             elements=st.one_of(_ODD_FLOATS, st.floats(width=64))))
+    return ProbTable(LabelSet(names), ids, matrix)
+
+
+@given(_written_tables())
+@settings(max_examples=200, deadline=None)
+def test_write_prob_table_matches_the_csv_module_writer(tmp_path_factory, table):
+    folder = tmp_path_factory.mktemp("table")
+    write_prob_table(folder / "new.csv", table)
+    csv_module_write(
+        folder / "old.csv",
+        ["image_id", *table.label_set.names],
+        ([image_id, *(f"{value:.12g}" for value in probs)]
+         for image_id, probs in zip(table.ids, table.matrix)),
+    )
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 def _normalize_row_reference(values, where):

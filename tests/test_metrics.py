@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcrescue.core import LabelSet, ValidationError
 from wbcrescue.metrics import (
@@ -61,6 +63,50 @@ def test_build_confusion_validates():
         build_confusion([0], [5], 2)
     with pytest.raises(ValidationError):
         build_confusion([], [], 2)
+
+
+def _confusion_loop_reference(truth, preds, num_classes):
+    """The former per-pair `build_confusion`, kept as the oracle."""
+    if len(truth) != len(preds):
+        raise ValidationError(
+            f"length mismatch: {len(truth)} truth labels vs {len(preds)} predictions"
+        )
+    if len(truth) == 0:
+        raise ValidationError("no samples to evaluate")
+    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for t, p in zip(truth, preds):
+        if not (0 <= t < num_classes and 0 <= p < num_classes):
+            raise ValidationError(f"class id out of range: truth={t}, pred={p}")
+        matrix[t, p] += 1
+    return matrix
+
+
+def _confusion_outcome(build):
+    try:
+        matrix = build()
+    except ValidationError as exc:
+        return "error", str(exc)
+    return matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@st.composite
+def _label_pairs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    # Mostly valid ids, with some out of range on either side.
+    ids = st.one_of(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, k + 3))
+    truth = draw(st.lists(ids, max_size=40))
+    preds = draw(st.lists(ids, min_size=len(truth), max_size=len(truth)))
+    if draw(st.integers(0, 9)) == 0:
+        preds = preds + draw(st.lists(ids, min_size=1, max_size=2))
+    return truth, preds, k
+
+
+@given(_label_pairs())
+@settings(max_examples=300, deadline=None)
+def test_build_confusion_matches_the_pair_loop(drawn):
+    truth, preds, k = drawn
+    assert _confusion_outcome(lambda: build_confusion(truth, preds, k)) == \
+        _confusion_outcome(lambda: _confusion_loop_reference(truth, preds, k))
 
 
 def test_perfect_classifier_scores_one():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wbcrescue.core import (
     ClassCounts,
     DecisionTrace,
+    LabelSet,
     Phase,
     RescueConfig,
     ValidationError,
@@ -32,6 +33,7 @@ from wbcrescue.rescue import (
     write_trace_csv,
 )
 
+from reference import csv_module_write
 from synth import disc_mask, eccentric_cell, gray_sample, star_mask
 
 LABELS = default_label_set()
@@ -603,3 +605,62 @@ def test_prediction_and_trace_csv(tmp_path, gate):
     assert float(fields[4]) > 0.15
     assert fields[5] == ""
     assert fields[6] == "PLY"
+
+
+@st.composite
+def _written_traces(draw):
+    k = draw(st.integers(min_value=2, max_value=6))
+    label_set = LabelSet(draw(st.lists(st.text(alphabet='PLYC,"\r\n é', min_size=1, max_size=4),
+                                       min_size=k, max_size=k, unique=True)))
+    ids = draw(st.lists(st.text(alphabet='ab,"\r\n #é細', max_size=5), max_size=8, unique=True))
+    classes = st.integers(min_value=0, max_value=k - 1)
+    scores = st.one_of(st.none(), st.floats(width=64, allow_nan=False),
+                       st.sampled_from([math.inf, -math.inf]))
+    traces = []
+    for image_id in ids:
+        phase = draw(st.sampled_from(list(Phase)))
+        needs_candidate = phase is not Phase.NO_CANDIDATE
+        candidate = draw(classes if needs_candidate else st.one_of(st.none(), classes))
+        traces.append(DecisionTrace(image_id, draw(classes), candidate, phase,
+                                    draw(scores), draw(scores)))
+    return label_set, traces
+
+
+def _write_predictions_reference(path, traces, label_set):
+    csv_module_write(
+        path,
+        ["image_id", "label"],
+        ([trace.image_id, label_set.name_at(trace.final_label)] for trace in traces),
+    )
+
+
+def _write_trace_reference(path, traces, label_set):
+    """The former `write_trace_csv` on `csv.writer`, kept as the oracle."""
+    csv_module_write(
+        path,
+        ["image_id", "base", "candidate", "phase", "spikiness", "mahalanobis", "final"],
+        (
+            [
+                trace.image_id,
+                label_set.name_at(trace.base_label),
+                "" if trace.candidate is None else label_set.name_at(trace.candidate),
+                trace.phase_reached.value,
+                "" if trace.spikiness is None else f"{trace.spikiness:.9g}",
+                "" if trace.mahalanobis is None else f"{trace.mahalanobis:.9g}",
+                label_set.name_at(trace.final_label),
+            ]
+            for trace in traces
+        ),
+    )
+
+
+@given(_written_traces())
+@settings(max_examples=200, deadline=None)
+def test_prediction_and_trace_writers_match_the_csv_module_writer(tmp_path_factory, drawn):
+    label_set, traces = drawn
+    folder = tmp_path_factory.mktemp("out")
+    for write, reference in ((write_predictions_csv, _write_predictions_reference),
+                             (write_trace_csv, _write_trace_reference)):
+        write(folder / "new.csv", traces, label_set)
+        reference(folder / "old.csv", traces, label_set)
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
