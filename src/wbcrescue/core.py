@@ -147,6 +147,58 @@ def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+# A field `csv.reader` returns as written, on every supported Python: no
+# delimiter, quote, line break or NUL (Python 3.10's `csv` rejects NUL).
+PLAIN_FIELD = '[^,"\r\n\x00]+'
+# The cells that `float()` and `np.loadtxt` read alike, or reject alike:
+# `loadtxt` rejects `1_0` and non-ASCII digits, which `float()` accepts.
+PLAIN_NUMBER = "[-+0-9.eE]+"
+
+
+class NotPlain(Exception):
+    """Raised by `read_plain_csv` on a file it does not read in bulk."""
+
+
+def read_plain_csv(path, header: Sequence[str], cell: str) -> Iterator[list]:
+    r"""Yield the rows of a plain CSV file a chunk at a time, each row as
+    `re.findall` gives its groups: the key alone when `cell`, a regex, has no
+    group, else a tuple that starts with the key. Raise NotPlain for a file
+    that is not plain, maybe after some chunks; its readers then read it
+    again with `read_keyed_csv`.
+
+    A plain file reads the same under `read_keyed_csv`, `str.split(",")` and
+    `np.loadtxt`: strict UTF-8; the exact header, each name a PLAIN_FIELD;
+    at least one row, each a PLAIN_FIELD key followed by exactly one `cell`
+    per other header column; no `\r` but in a `\r\n` terminator (the last
+    line may have none); no line longer than `csv.field_size_limit()`; and
+    no key twice. The file is never held as one string."""
+    if not all(re.fullmatch(PLAIN_FIELD, name) for name in header):
+        raise NotPlain
+    # `^` anchors each match at a line start, and no field holds a line
+    # break, so a chunk that yields one match per line matches line by line.
+    row = re.compile(
+        f"^({PLAIN_FIELD})" + f",{cell}" * (len(header) - 1) + r"(?:\r?\n|\Z)", re.MULTILINE
+    )
+    limit = csv.field_size_limit()
+    keys: set[str] = set()
+    rows = 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            if handle.readline() not in {",".join(header) + "\n", ",".join(header) + "\r\n"}:
+                raise NotPlain
+            while lines := handle.readlines(1 << 12):
+                found = row.findall("".join(lines))
+                rows += len(lines)
+                keys.update([groups[0] for groups in found] if row.groups > 1 else found)
+                if len(found) != len(lines) or len(keys) < rows or max(map(len, lines)) > limit:
+                    raise NotPlain
+                yield found
+        except UnicodeDecodeError:
+            raise NotPlain from None
+    if not rows:
+        raise NotPlain
+
+
 def read_keyed_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """`read_csv` whose first column is a key: an empty or repeated key
     raises ValidationError naming the line."""

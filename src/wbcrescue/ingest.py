@@ -6,13 +6,15 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (ClassCounts, LabelSet, ValidationError, csv_field, join_ids,
-                   normalize_probs, read_csv, read_keyed_csv, write_csv_lines)
+from .core import (PLAIN_NUMBER, ClassCounts, LabelSet, NotPlain, ValidationError, csv_field,
+                   join_ids, normalize_probs, read_csv, read_keyed_csv, read_plain_csv,
+                   write_csv_lines)
 from .netpbm import read_pnm
 
 
@@ -42,6 +44,14 @@ class ProbTable:
                     raise ValidationError(f"duplicate image_id {image_id!r}")
                 seen.add(image_id)
 
+    @classmethod
+    def _own(cls, label_set: LabelSet, ids: tuple[str, ...], matrix: np.ndarray) -> ProbTable:
+        """A table that takes a parser's unique ids and read-only (N, K)
+        float64 matrix as they are, without the copy and the repeat scan."""
+        table = cls.__new__(cls)
+        table.label_set, table.ids, table.matrix = label_set, ids, matrix
+        return table
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -52,7 +62,34 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     Rows are validated together and renormalized to sum exactly 1; row order
     is preserved. Errors name the file, line, and offending column; when
     several rows are bad, the earliest one is reported.
+
+    A plain file (`core.read_plain_csv`) is read in bulk by `np.loadtxt`.
+    Any other file, and any plain one that `loadtxt` or `normalize_probs`
+    rejects, is read again by the row reader, so the result and every error
+    are the row reader's.
     """
+    width = len(label_set)
+    try:
+        ids = tuple(chain.from_iterable(
+            read_plain_csv(path, ["image_id", *label_set.names], PLAIN_NUMBER)))
+        matrix = _load_plain_matrix(path, width)
+        if matrix.shape == (len(ids), width):
+            return ProbTable._own(label_set, ids, normalize_probs(matrix))
+    except (NotPlain, ValueError):  # ValidationError, or a cell loadtxt rejects
+        pass
+    return _parse_prob_table_rows(path, label_set)
+
+
+def _load_plain_matrix(path, width: int) -> np.ndarray:
+    """The (N, width) float64 cells after the key column of a plain CSV file.
+    The file is passed open: given a path, `loadtxt` would read a file named
+    `*.gz` or `*.bz2` as compressed."""
+    with open(path, encoding="utf-8") as handle:
+        return np.loadtxt(handle, delimiter=",", skiprows=1, usecols=tuple(range(1, width + 1)),
+                          comments=None, ndmin=2)
+
+
+def _parse_prob_table_rows(path, label_set: LabelSet) -> ProbTable:
     width = len(label_set)
     ids: list[str] = []
     lines = array("q")
@@ -75,7 +112,7 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
         del values[len(ids) * width:]
         _check_prob_rows(path, lines, values, width)
         raise
-    return ProbTable(label_set, ids, _check_prob_rows(path, lines, values, width))
+    return ProbTable._own(label_set, tuple(ids), _check_prob_rows(path, lines, values, width))
 
 
 def _check_prob_rows(path, lines, values, width: int) -> np.ndarray:

@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, LabelSet, ValidationError, join_ids, read_keyed_csv, write_csv
+from .core import (PLAIN_FIELD, ClassId, LabelSet, NotPlain, ValidationError, join_ids,
+                   read_keyed_csv, read_plain_csv, write_csv)
 
 
 def build_confusion(
@@ -91,7 +92,19 @@ def compute_metrics(confusion: np.ndarray) -> MetricsReport:
 
 def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
     """Read an `image_id,label` CSV, mapping labels through the catalog; ids
-    must be non-empty and unique."""
+    must be non-empty and unique. A plain file (`core.read_plain_csv`) whose
+    labels are all in the catalog is read in bulk; any other is read
+    again by the row reader, so every error is the row reader's."""
+    index = {name: class_id for class_id, name in enumerate(label_set)}
+    try:
+        return [(image_id, index[name])
+                for rows in read_plain_csv(path, ["image_id", "label"], f"({PLAIN_FIELD})")
+                for image_id, name in rows]
+    except (NotPlain, KeyError):  # KeyError: a label outside the catalog
+        return _read_label_rows(path, label_set)
+
+
+def _read_label_rows(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
     rows: list[tuple[str, ClassId]] = []
     for lineno, (image_id, name) in read_keyed_csv(path, ["image_id", "label"]):
         if name not in label_set:

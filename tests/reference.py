@@ -1,7 +1,8 @@
 """The straight-line restatement of the three-phase decision, and the cells
 and gate it is checked on; shared by the acceptance criteria and the
 CLI-level oracle. Also the former `csv.writer`-based CSV writer, the oracle
-of the writers that render rows themselves."""
+of the writers that render rows themselves, and the former row-by-row label
+reader, the oracle of the bulk one."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from wbcrescue.core import ValidationError
+from wbcrescue.core import ValidationError, read_keyed_csv
 from wbcrescue.morphology import (
     fit_gaussian_gate,
     mahalanobis,
@@ -94,3 +95,16 @@ def csv_module_write(path, header, rows) -> None:
         writer = csv.writer(sink, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_label_csv(path, label_set):
+    """The former `metrics.read_label_csv`: every file read row by row
+    through `read_keyed_csv`."""
+    rows = []
+    for lineno, (image_id, name) in read_keyed_csv(path, ["image_id", "label"]):
+        if name not in label_set:
+            raise ValidationError(f"{path}:{lineno}: unknown label {name!r}")
+        rows.append((image_id, label_set.index_of(name)))
+    if not rows:
+        raise ValidationError(f"{path}: no rows")
+    return rows

@@ -1,12 +1,16 @@
+import csv
+import re
 from operator import attrgetter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, read_csv
+from wbcrescue.core import (ENTRY_EPSILON, PLAIN_NUMBER, SUM_DELTA, LabelSet, ValidationError,
+                            read_csv)
 from wbcrescue.ingest import (
     DirectorySampleSource,
     ProbTable,
@@ -18,6 +22,7 @@ from wbcrescue.ingest import (
     parse_class_counts,
     parse_prob_table,
     write_prob_table,
+    _load_plain_matrix,
 )
 from wbcrescue.netpbm import read_pnm, write_pnm
 
@@ -199,6 +204,12 @@ def test_parse_prob_table_rejects_duplicate_id(tmp_path, labels2):
         parse_prob_table(path, labels2)
 
 
+def test_parse_prob_table_reads_a_gz_name_as_text(tmp_path, labels2):
+    path = tmp_path / "p.csv.gz"
+    path.write_bytes(b"image_id,SNE,LY\nimg1,0.6,0.4\n")
+    assert parse_prob_table(path, labels2).matrix.tolist() == [[0.6, 0.4]]
+
+
 def test_parse_prob_table_accepts_crlf(tmp_path, labels2):
     path = tmp_path / "p.csv"
     path.write_bytes(b"image_id,SNE,LY\r\nimg1,0.6,0.4\r\n")
@@ -307,53 +318,151 @@ def _parse_outcome(parse, path, label_set):
 
 _ODD_CELLS = [
     "nan", "inf", "-inf", "-0.0", "1_0", " 0.5", "0.5 ", "1e-3", "x", "", "0x1", "1.5",
-    "-0.1", "1.0000005", "1.00001", "1e309", "٠.٥", "1e", "--1", ".", "1.2.3",
+    "-0.1", "1.0000005", "1.00001", "1e309", "٠.٥", "٣", "１", "1e", "--1", ".", "1.2.3",
+    "0\x00", "+.5", "1.",
 ]
 
-# Mostly ids that need quoting; few enough that ids repeat.
-_QUOTED_IDS = ["a", "b", "a,b", 'q"t', "c\rd", "e\nf", "g\r\nh", " "]
+# Ids that are written quoted.
+_QUOTED_IDS = ["a", "a,b", 'q"t', "c\rd", "e\nf", "g\r\nh", " "]
+# Ids written as they are: to `csv` each is one field read back as written,
+# though some hold characters that other readers split lines or fields on.
+_RAW_IDS = ["a", "img 1", " c ", "#d", "é細", "f\x0cg", "h\x85i", "l\x1cm", "n\to"]
+
+# What sends a file to the row reader: each but "valid" is one row's flaw.
+_ROW_KINDS = ["valid", "quoted", "raw quote", "nul id", "byte id", "no id", "repeat", "blank",
+              "space", "bare cr", "odd", "scaled", "short", "long", "huge"]
+
+
+def _prob_cells(draw, k):
+    weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    spelling = draw(st.sampled_from([repr, "{:.9f}".format, "{:.12g}".format, "{:.3e}".format]))
+    return [spelling(w / sum(weights)) for w in weights]
 
 
 @st.composite
 def _prob_csv(draw):
-    """(label set, CSV text) of up to 8 rows: mostly valid, some blank, some
-    with a bad cell, a drifted sum, an empty, repeated or quoted id, or one
-    cell too few or too many."""
+    """(label set, CSV text) of up to 8 rows, each ended by `\n` or by `\r\n`,
+    the last one perhaps by nothing, and perhaps a BOM first. Most files are
+    plain; the rest have up to two rows that send the file to the row
+    reader: a quote, a NUL, a byte that is not UTF-8, an empty or repeated
+    id, a blank or space-only line, a bare `\r`, a cell that is not a plain
+    number, a drifted sum, a cell too few or too many, or a field near the
+    `csv` size limit."""
     k = draw(st.integers(min_value=2, max_value=40))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    kinds = ["valid"] * draw(st.integers(min_value=0, max_value=8))
+    for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=2)) if kinds else ():
+        kinds[draw(st.integers(0, len(kinds) - 1))] = kind
     lines = ["image_id," + ",".join(f"C{i}" for i in range(k))]
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        kind = draw(st.sampled_from(
-            ["valid"] * 6 + ["blank", "odd", "odd", "scaled", "short", "long", "no id"]
-        ))
-        if kind == "blank":
-            lines.append("")
+    for row, kind in enumerate(kinds):
+        if kind in ("blank", "space"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t"])))
             continue
-        image_id = draw(st.sampled_from(_QUOTED_IDS))
-        if kind == "no id":
+        image_id = draw(st.sampled_from(_RAW_IDS)) + str(row)
+        if kind == "quoted":
+            image_id = '"' + draw(st.sampled_from(_QUOTED_IDS)).replace('"', '""') + '"'
+        elif kind in ("raw quote", "nul id", "byte id"):
+            # "\udcff" is written as the byte 0xff, which is not UTF-8.
+            image_id += {"raw quote": '"', "nul id": "\x00", "byte id": "\udcff"}[kind]
+        elif kind == "no id":
             image_id = ""
-        weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
-        scale = draw(st.sampled_from([1.0, 1.0009, 0.9991, 1.0011, 0.9989, 0.5, 2.0]))
-        if kind != "scaled":
-            scale = 1.0
-        cells = [repr(scale * w / sum(weights)) for w in weights]
+        elif kind == "repeat":
+            image_id = lines[-1].split(",")[0]  # the header's or the row before's
+        cells = _prob_cells(draw, k)
+        column = draw(st.integers(0, k - 1))
         if kind == "odd":
-            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_CELLS))
+            cells[column] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "scaled":
+            scale = draw(st.sampled_from([1.0009, 0.9991, 1.0011, 0.9989, 0.5, 2.0]))
+            cells = [repr(scale * float(cell)) for cell in cells]
         elif kind == "short":
             cells.pop()
         elif kind == "long":
             cells.append("0")
-        lines.append(",".join(['"' + image_id.replace('"', '""') + '"', *cells]))
-    return LabelSet([f"C{i}" for i in range(k)]), draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+        elif kind == "huge":
+            # The same number, led by zeros to one character under, at or
+            # over the size limit.
+            width = csv.field_size_limit() + draw(st.integers(-1, 1))
+            cells[column] = cells[column].rjust(width, "0")
+        lines.append(",".join([image_id, *cells]))
+    ends = [terminator] + ["\r" if kind == "bare cr" else terminator for kind in kinds]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.integers(0, 19)) == 0:
+        text = "\ufeff" + text
+    return LabelSet([f"C{i}" for i in range(k)]), text
 
 
 @given(_prob_csv())
-@settings(max_examples=400, deadline=None)
+# A cell too many, which `loadtxt` would drop, and a field one character over
+# the `csv` size limit.
+@example((LabelSet(["C0", "C1"]), "image_id,C0,C1\na,0.5,0.5,0\n"))
+@example((LabelSet(["C0", "C1"]), f"image_id,C0,C1\na,{'1'.zfill(csv.field_size_limit() + 1)},0\n"))
+@settings(max_examples=500, deadline=None)
 def test_parse_prob_table_matches_row_reference(tmp_path_factory, inputs):
     label_set, text = inputs
     path = tmp_path_factory.mktemp("prob") / "p.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     expected = _parse_outcome(_parse_prob_table_rows_reference, path, label_set)
     assert _parse_outcome(parse_prob_table, path, label_set) == expected
+
+
+@given(
+    k=st.integers(min_value=2, max_value=13),
+    ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters=',"\r\n\x00'),
+                         min_size=1, max_size=6),
+                 min_size=1, max_size=8, unique=True),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+    last=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_plain_prob_tables_are_read_in_bulk(tmp_path_factory, k, ids, terminator, last, data):
+    label_set = LabelSet([f"C{i}" for i in range(k)])
+    lines = ["image_id," + ",".join(label_set.names)]
+    lines += [",".join([image_id, *_prob_cells(data.draw, k)]) for image_id in ids]
+    path = tmp_path_factory.mktemp("plain") / "p.csv"
+    path.write_text(terminator.join(lines) + (terminator if last else ""),
+                    encoding="utf-8", newline="")
+    expected = _parse_outcome(_parse_prob_table_rows_reference, path, label_set)
+    with mock.patch("wbcrescue.ingest.read_keyed_csv",
+                    side_effect=AssertionError("a plain file was read row by row")):
+        table = parse_prob_table(path, label_set)
+    assert (table.ids, table.matrix.tobytes()) == expected
+    assert not table.matrix.flags.writeable
+
+
+_SPELLINGS = st.one_of(
+    st.floats(width=64, allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"[-+]?[0-9]{0,20}\.?[0-9]{0,20}([eE][-+]?[0-9]{1,4})?", fullmatch=True),
+)
+
+
+@given(st.one_of(
+    st.text(alphabet="-+0123456789.eE", min_size=1, max_size=30),
+    _SPELLINGS,
+    # A number with one character added that the cell class leaves out;
+    # `float()` accepts some of these (`1_0`, `٣`) where `loadtxt` does not.
+    st.tuples(_SPELLINGS, st.sampled_from(["_", "٣", "１", " ", "\t", "i", "n", "x", "\x0c"]),
+              st.integers(1, 30)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+))
+@example("1_0")
+@example("٣")
+@settings(max_examples=500, deadline=None)
+def test_loadtxt_reads_plain_number_cells_as_float_does(tmp_path_factory, cell):
+    assume(re.fullmatch(PLAIN_NUMBER, cell))
+    path = tmp_path_factory.mktemp("cell") / "c.csv"
+    path.write_text(f"image_id,C0\nx,{cell}\n", encoding="utf-8", newline="")
+    try:
+        expected = np.float64(float(cell)).tobytes()
+    except ValueError:
+        expected = "rejected"
+    try:
+        actual = _load_plain_matrix(path, 1)[0, 0].tobytes()
+    except ValueError:
+        actual = "rejected"
+    assert actual == expected
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from wbcrescue.metrics import (
     write_confusion_csv,
 )
 
+import reference
 from synth import write_csv
 
 
@@ -262,6 +265,74 @@ def test_read_label_csv_rejects_unknown_label(tmp_path, labels13):
     path = write_csv(tmp_path / "pred.csv", ["image_id", "label"], [["img0", "nope"]])
     with pytest.raises(ValidationError, match="unknown label"):
         read_label_csv(path, labels13)
+
+
+# A catalog whose names include one that is not a plain CSV field.
+_LABELS = LabelSet(["SNE", "LY", "a b", 'q"t'])
+
+# What sends a file to the row reader: each but "valid" is one row's flaw.
+_LABEL_ROWS = ["valid", "unknown", "no id", "repeat", "quoted", "blank", "quote", "nul", "byte",
+               "bare cr", "extra"]
+
+
+@st.composite
+def _label_csv(draw):
+    """CSV text with the `image_id,label` header and up to 6 rows, ended by
+    `\n` or `\r\n`, the last perhaps by nothing. Up to two rows send the
+    file to the row reader."""
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    kinds = ["valid"] * draw(st.integers(min_value=0, max_value=6))
+    for kind in draw(st.lists(st.sampled_from(_LABEL_ROWS), max_size=2)) if kinds else ():
+        kinds[draw(st.integers(0, len(kinds) - 1))] = kind
+    lines = ["image_id,label"]
+    for row, kind in enumerate(kinds):
+        image_id = draw(st.sampled_from(["a", "img 1", "#é", "b\x85"])) + str(row)
+        label = draw(st.sampled_from(_LABELS.names))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "unknown":
+            label = draw(st.sampled_from(["", "sne", "LY ", "PC"]))
+        elif kind == "no id":
+            image_id = ""
+        elif kind == "repeat":
+            image_id = lines[-1].split(",")[0]
+        elif kind == "quoted":
+            image_id = '"' + draw(st.sampled_from(["a0", "x,y", 'q""t', "c\r\nd"])) + '"'
+        elif kind in ("quote", "nul", "byte"):
+            # "\udcff" is written as the byte 0xff, which is not UTF-8.
+            image_id += {"quote": '"', "nul": "\x00", "byte": "\udcff"}[kind]
+        elif kind == "extra":
+            label += ",SNE"
+        lines.append(f"{image_id},{label}")
+    ends = [terminator] + ["\r" if kind == "bare cr" else terminator for kind in kinds]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _label_outcome(read, path):
+    try:
+        return read(path, _LABELS)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(_label_csv())
+@settings(max_examples=300, deadline=None)
+def test_read_label_csv_matches_the_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+    expected = _label_outcome(reference.read_label_csv, path)
+    assert _label_outcome(read_label_csv, path) == expected
+
+
+def test_plain_label_files_are_read_in_bulk(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"image_id,label\r\nimg 1,LY\r\n#\xc3\xa9,a b\r\nc,SNE")
+    expected = reference.read_label_csv(path, _LABELS)
+    with mock.patch("wbcrescue.metrics.read_keyed_csv",
+                    side_effect=AssertionError("a plain file was read row by row")):
+        assert read_label_csv(path, _LABELS) == expected == [("img 1", 1), ("#é", 2), ("c", 0)]
 
 
 def test_report_formatting_is_fixed_precision(tmp_path):
