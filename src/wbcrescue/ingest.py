@@ -46,8 +46,8 @@ class ProbTable:
 
     @classmethod
     def _own(cls, label_set: LabelSet, ids: tuple[str, ...], matrix: np.ndarray) -> ProbTable:
-        """A table that takes a parser's unique ids and read-only (N, K)
-        float64 matrix as they are, without the copy and the repeat scan."""
+        """A table that takes unique ids and a fresh read-only (N, K) float64
+        matrix as they are, without the copy and the repeat scan."""
         table = cls.__new__(cls)
         table.label_set, table.ids, table.matrix = label_set, ids, matrix
         return table
@@ -214,7 +214,8 @@ def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:
             raise ValidationError("probability tables use different label catalogs")
         total += table.matrix[join_ids(first.ids, table.ids, lacks(number), lacks(1))]
     total /= len(tables)
-    return ProbTable(first.label_set, first.ids, total)
+    total.flags.writeable = False
+    return ProbTable._own(first.label_set, first.ids, total)
 
 
 SampleSource = Callable[[str], CellSample]

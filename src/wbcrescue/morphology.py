@@ -254,23 +254,12 @@ def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:
     return cost
 
 
-# Up to this many foreground pixels every split is costed exactly with fsum,
-# so the chosen split's cost equals the exhaustive minimum even on tied
-# inputs; above it, prefix sums cost all splits at once, within a few ulps.
-_EXACT_SPLIT_LIMIT = 64
-
-
 def _best_threshold_split(sorted_values: np.ndarray) -> int:
-    """Index of the optimal 2-cluster split of sorted values.
-
-    Only boundaries between distinct values are valid splits; ties go to
-    the smallest index.
-    """
+    """Index of the split of sorted values, at a boundary between distinct
+    values, with the least `_split_cost_exact`; on equal cost the smallest.
+    Prefix sums rank all splits; fsum re-costs those that may tie the best."""
     n = len(sorted_values)
     candidates = np.flatnonzero(sorted_values[1:] > sorted_values[:-1]) + 1
-    if n <= _EXACT_SPLIT_LIMIT:
-        values = sorted_values.tolist()
-        return min(candidates.tolist(), key=lambda i: (_split_cost_exact(values, i), i))
     prefix = np.cumsum(sorted_values)
     prefix_sq = np.cumsum(sorted_values * sorted_values)
     left, left_sq = prefix[candidates - 1], prefix_sq[candidates - 1]
@@ -278,7 +267,18 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     costs = (left_sq - left * left / candidates) + (
         (prefix_sq[-1] - left_sq) - right * right / (n - candidates)
     )
-    return int(candidates[np.argmin(costs)])
+    # u = 2**-53, A = sum|x| <= sqrt(n * sum x**2), M = max|x|. cumsum errs by
+    # n*u*A (n*u*A*M for squares) at most, `total - left` by both sums' errors
+    # however small, and a sum squared over its count by 2*M times its error:
+    # a ranked cost errs by (9n + 10)*u*A*M, fsum's by 5*u*A*M, so the fsum
+    # argmin ranks within (18n + 30)*u*A*M of the least. 20*(n + 2) covers
+    # rounding and second-order terms for n <= 2**25; NaN costs stay for fsum.
+    bound = 20.0 * (n + 2) * 2.0**-53 * math.sqrt(n * prefix_sq[-1])
+    near = candidates[~(costs > costs.min() + bound * max(-sorted_values[0], sorted_values[-1]))]
+    if len(near) == 1:
+        return int(near[0])
+    values = sorted_values.tolist()
+    return min(near.tolist(), key=lambda i: (_split_cost_exact(values, i), i))
 
 
 def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,9 +286,8 @@ def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Returns the flat row-major indices of the foreground pixels, their
     luminance, and the flags of the darker cluster, all in that order. The
-    optimal 1-D 2-means partition is always a threshold, so this takes the
-    threshold between distinct luminances with the least within-cluster sum
-    of squares; when two thresholds cost the same, the lower one wins.
+    optimal 1-D 2-means partition is always a threshold: the one with the
+    least within-cluster sum of squares, the lower one on a tie, at any size.
     """
     flat = np.flatnonzero(np.asarray(sample.mask, dtype=bool))
     if flat.size == 0:

@@ -669,6 +669,22 @@ def test_average_is_np_mean_of_the_rows_joined_by_id(count, rows, seed):
     assert np.array_equal(merged.matrix, expected)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_average_is_a_fresh_read_only_matrix(labels2, count):
+    rng = np.random.default_rng(count)
+    ids = [f"img{i}" for i in range(6)]
+    tables = [ProbTable(labels2, rng.permutation(ids).tolist(), rng.dirichlet([1, 1], size=6))
+              for _ in range(count)]
+    merged = average_prob_tables(tables)
+    first = tables[0]
+    joined = [table.matrix[[table.ids.index(image_id) for image_id in first.ids]] for table in tables]
+    former = ProbTable(labels2, first.ids, np.mean(joined, axis=0))
+    assert merged.ids == first.ids
+    assert merged.matrix.tobytes() == former.matrix.tobytes()
+    assert not merged.matrix.flags.writeable
+    assert not any(np.shares_memory(merged.matrix, table.matrix) for table in tables)
+
+
 def test_average_keeps_first_table_order(labels2):
     a = _table(labels2, [("b", [0.5, 0.5]), ("a", [0.4, 0.6])])
     b = _table(labels2, [("a", [0.4, 0.6]), ("b", [0.5, 0.5])])

@@ -633,13 +633,51 @@ def test_kmeans_tie_goes_to_lower_threshold():
     assert cytoplasm.tolist() == [[False, True, True, True]]
 
 
+def test_kmeans_splits_two_levels_whose_squares_overflow():
+    # Every prefix-sum cost is NaN here; the lone threshold is still taken.
+    pixels = np.zeros((1, 100, 3))
+    pixels[0, :50] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        nucleus, _ = kmeans2_luminance(CellSample("cell", pixels, np.ones((1, 100), dtype=bool)))
+    assert nucleus[0].tolist() == [False] * 50 + [True] * 50
+
+
+def _oracle_best_split(values):
+    """Exhaustive fsum costing of every threshold: the number of values at
+    or below the least-cost one, the lowest threshold winning a tie."""
+    ordered = sorted(values)
+    costs = []
+    for cut in sorted(set(ordered))[:-1]:
+        split = sum(value <= cut for value in ordered)
+        costs.append((_oracle_cost(ordered[:split]) + _oracle_cost(ordered[split:]), split))
+    return min(costs)[1]
+
+
+def _equally_spaced_rgb(base, step, counts):
+    """A 1-row cell of RGB levels base + k * step, counts[k] pixels each."""
+    pixels = np.repeat(base + np.arange(len(counts))[:, None] * step, counts, axis=0)
+    return CellSample("cell", pixels.astype(np.uint8)[None], np.ones((1, len(pixels)), dtype=bool))
+
+
 @st.composite
 def _large_cells(draw):
-    """65-400 px cells: few gray levels (ties, symmetric level sets) or
-    two RGB base colors with per-channel texture."""
-    n = draw(st.integers(65, 400))
+    """Cells past 64 px: equally spaced RGB or few gray levels (65-2000 px;
+    an odd number of equal RGB counts ties), two textured base colors
+    (65-400 px, so the exhaustive oracle stays fast), or many dark pixels
+    with 1-3 bright ones, where `total - left` cancels (65-2000 px)."""
+    kind = draw(st.sampled_from(["rgb", "gray", "textured", "bright"]))
+    n = draw(st.integers(65, 400 if kind == "textured" else 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if kind == "rgb":
+        levels = int(rng.choice([2, 3, 3, 4, 5, 5]))
+        step = rng.integers(1, 256 // levels, size=3)
+        base = rng.integers(0, 256 - (levels - 1) * step)
+        if rng.random() < 0.75:
+            counts = [max(n // levels, 65 // levels + 1)] * levels
+        else:
+            counts = rng.multinomial(n - levels, np.full(levels, 1 / levels)) + 1
+        return _equally_spaced_rgb(base, step, counts)
+    if kind == "gray":
         if draw(st.booleans()):
             levels = np.arange(draw(st.integers(2, 5))) * draw(st.integers(1, 60))
         else:
@@ -647,21 +685,32 @@ def _large_cells(draw):
         gray = rng.choice(levels, size=n)
         gray[:2] = levels[:2]
         pixels = np.repeat(gray[:, None], 3, axis=1)
-    else:
+    elif kind == "textured":
         bases = rng.integers(0, 256, size=(2, 3))
         texture = rng.integers(-20, 21, size=(n, 3))
         pixels = np.clip(bases[rng.integers(0, 2, size=n)] + texture, 0, 255)
         pixels[0], pixels[1] = 0, 255
+    else:
+        dark = rng.integers(0, 256, size=(draw(st.integers(1, 4)), 3)) // 8
+        pixels = dark[rng.integers(0, len(dark), size=n)]
+        bright = draw(st.integers(1, 3))
+        pixels[:bright] = rng.integers(200, 256, size=(bright, 3))
     return CellSample("cell", pixels.astype(np.uint8).reshape(1, n, 3), np.ones((1, n), dtype=bool))
 
 
 @given(_large_cells())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_kmeans_large_inputs_reach_the_optimum(sample):
-    nucleus, cytoplasm = kmeans2_luminance(sample)
-    got = _returned_wcss(sample, nucleus, cytoplasm)
-    want = _oracle_best_wcss(list(luminance(sample.pixels)[sample.mask]))
-    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    nucleus, _ = kmeans2_luminance(sample)
+    assert int(nucleus.sum()) == _oracle_best_split(list(luminance(sample.pixels)[sample.mask]))
+
+
+@pytest.mark.parametrize("count", [21, 109, 333])
+def test_three_level_tie_takes_the_lower_threshold_at_every_size(count):
+    # Both thresholds cost the same under fsum (exactly, at 109 px a level);
+    # prefix sums alone took the upper one from 327 px on, for nc_ratio 2.0.
+    sample = _equally_spaced_rgb(np.array([164, 26, 159]), np.array([4, 13, 22]), [count] * 3)
+    assert morph_vector(sample).nc_ratio == 0.5
 
 
 def _luminance_via_float64_copy(pixels):
