@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Byte-for-byte checks of the installed `wbcrescue` console script. The tests
+# call cli.run from src/; this runs the entry point that `pip install` puts on
+# PATH, outside the checkout. CI runs it on Linux, where cli.run tunes glibc's
+# allocator, and on macOS, where it does not.
+#
+#   bash .github/cli-checks.sh    # needs `wbcrescue` and `python3` on PATH
+set -eo pipefail
+cd "$(mktemp -d)"
+wbcrescue --help
+printf 'image_id,label\na,SNE\nb,LY\n' > pred.csv
+printf 'image_id,label\na,SNE\nb,SNE\n' > truth.csv
+wbcrescue evaluate --pred pred.csv --truth truth.csv --out report.txt 2> quiet.err
+cat report.txt
+test ! -s quiet.err || { echo "::error::a quiet run wrote to stderr"; cat quiet.err; exit 1; }
+wbcrescue --verbose evaluate --pred pred.csv --truth truth.csv --out report.txt 2> verbose.err
+cat verbose.err
+grep -q "INFO wbcrescue: macro_f1" verbose.err \
+  || { echo "::error::--verbose wrote no macro_f1 line to stderr"; exit 1; }
+# Each join pairs rows by id: the second fold and the truth file
+# list their rows in another order than the first file.
+printf 'SNE\nLY\n' > labels.txt
+printf 'image_id,SNE,LY\na,0.25,0.75\nb,0.5,0.5\n' > fold1.csv
+printf 'image_id,SNE,LY\nb,1,0\na,0.75,0.25\n' > fold2.csv
+wbcrescue ensemble fold1.csv fold2.csv --labels labels.txt --out mean.csv
+printf 'image_id,SNE,LY\na,0.5,0.5\nb,0.75,0.25\n' | diff - mean.csv
+# CRLF row ends and a last row without one are both read in bulk;
+# the mean is written with `\n` ends.
+printf 'image_id,SNE,LY\r\na,0.25,0.75\r\nb,0.5,0.5\r\n' > crlf.csv
+printf 'image_id,SNE,LY\nb,1,0\na,0.75,0.25' > unterminated.csv
+wbcrescue ensemble crlf.csv unterminated.csv --labels labels.txt --out plain-mean.csv
+printf 'image_id,SNE,LY\na,0.5,0.5\nb,0.75,0.25\n' | diff - plain-mean.csv
+# Ids that need quoting are written by the package's own rule, the
+# same bytes on every Python of the matrix.
+printf 'image_id,SNE,LY\n"a,b",0.25,0.75\n"q""x",0.5,0.5\n' > quoted1.csv
+printf 'image_id,SNE,LY\n"q""x",1,0\n"a,b",0.75,0.25\n' > quoted2.csv
+wbcrescue ensemble quoted1.csv quoted2.csv --labels labels.txt --out quoted-mean.csv
+printf 'image_id,SNE,LY\n"a,b",0.5,0.5\n"q""x",0.75,0.25\n' | diff - quoted-mean.csv
+printf 'image_id,label\nb,LY\na,SNE\n' > truth-reordered.csv
+wbcrescue evaluate --pred pred.csv --truth truth-reordered.csv --labels labels.txt \
+  --out report.txt --confusion confusion.csv
+printf 'true\\pred,SNE,LY\nSNE,1,0\nLY,0,1\n' | diff - confusion.csv
+# One row per early phase: a has no rare candidate, the verifier
+# rejects b, and c reaches the shape filters with no --images, so
+# --skip-missing denies it as a missing sample.
+printf 'SNE\nLY\nPLY\nPC\n' > rare-labels.txt
+printf 'class,count\nSNE,100\nLY,100\nPLY,10\nPC,10\n' > counts.csv
+printf 'image_id,SNE,LY,PLY,PC\na,0.75,0.125,0.0625,0.0625\nb,0.125,0.5,0.25,0.125\nc,0.125,0.5,0.25,0.125\n' > swin.csv
+printf 'image_id,SNE,LY,PLY,PC\na,0.75,0.125,0.0625,0.0625\nb,0.25,0.5,0.125,0.125\nc,0.125,0.125,0.75,0\n' > med.csv
+wbcrescue rescue --swin swin.csv --med med.csv --counts counts.csv --labels rare-labels.txt \
+  --skip-missing --out rescued.csv --trace trace.csv
+printf 'image_id,label\na,SNE\nb,LY\nc,LY\n' | diff - rescued.csv
+printf 'image_id,base,candidate,phase,spikiness,mahalanobis,final\na,SNE,,NoCandidate,,,SNE\nb,LY,PLY,FailedSemantic,,,LY\nc,LY,PLY,FailedMorphology,,,LY\n' \
+  | diff - trace.csv
+# Three equally spaced RGB levels, 109 px each: under fsum both thresholds cost
+# the same, and the lower one wins at this size as at any other, so
+# the nucleus is one level and nc_ratio is 0.5.
+mkdir images masks
+python3 -c 'import sys; sys.stdout.buffer.write(b"P6\n327 1\n255\n" + b"".join(bytes((164 + 4 * k, 26 + 13 * k, 159 + 22 * k)) * 109 for k in range(3)))' > images/tie.ppm
+python3 -c 'import sys; sys.stdout.buffer.write(b"P5\n327 1\n255\n" + b"\xff" * 327)' > masks/tie.pgm
+wbcrescue features --images images --masks masks --out features.csv
+cat features.csv
+test "$(tail -n 1 features.csv | cut -d, -f2)" = 0.5 \
+  || { echo "::error::the 327 px three-level cell did not split at the lower threshold"; exit 1; }

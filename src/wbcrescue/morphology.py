@@ -55,7 +55,9 @@ def largest_foreground_component(mask) -> np.ndarray:
     if not mask.any():
         raise ValidationError("empty mask")
     height, width = mask.shape
-    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    framed = np.zeros((height, width + 2), dtype=np.int8)
+    framed[:, 1:-1] = mask
+    edges = np.diff(framed, axis=1)
     first = np.flatnonzero(edges == 1)
     lengths = np.flatnonzero(edges == -1) - first  # ends are paired with starts in order
     rows, starts = np.divmod(first, width + 1)
@@ -139,7 +141,9 @@ def trace_contour(mask) -> np.ndarray:
     the integer `pixel * 8 + backtrack` over the padded raster, and the next
     direction is one lookup in `_NEXT_DIRECTION`.
     """
-    padded = np.pad(largest_foreground_component(mask), 1).view(np.uint8)
+    component = largest_foreground_component(mask)
+    padded = np.zeros((component.shape[0] + 2, component.shape[1] + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = component
     width = padded.shape[1]
     flat = padded.ravel()
     size = len(flat)
@@ -257,24 +261,30 @@ def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:
 def _best_threshold_split(sorted_values: np.ndarray) -> int:
     """Index of the split of sorted values, at a boundary between distinct
     values, with the least `_split_cost_exact`; on equal cost the smallest.
-    Prefix sums rank all splits; fsum re-costs those that may tie the best."""
+    One prefix sum ranks all splits by their between-cluster sum of squares
+    (Otsu, IEEE SMC 1979); fsum re-costs those that may tie the best."""
     n = len(sorted_values)
-    candidates = np.flatnonzero(sorted_values[1:] > sorted_values[:-1]) + 1
+    below = np.flatnonzero(sorted_values[1:] > sorted_values[:-1])  # each split minus 1
     prefix = np.cumsum(sorted_values)
-    prefix_sq = np.cumsum(sorted_values * sorted_values)
-    left, left_sq = prefix[candidates - 1], prefix_sq[candidates - 1]
-    right = prefix[-1] - left
-    costs = (left_sq - left * left / candidates) + (
-        (prefix_sq[-1] - left_sq) - right * right / (n - candidates)
-    )
-    # u = 2**-53, A = sum|x| <= sqrt(n * sum x**2), M = max|x|. cumsum errs by
-    # n*u*A (n*u*A*M for squares) at most, `total - left` by both sums' errors
-    # however small, and a sum squared over its count by 2*M times its error:
-    # a ranked cost errs by (9n + 10)*u*A*M, fsum's by 5*u*A*M, so the fsum
-    # argmin ranks within (18n + 30)*u*A*M of the least. 20*(n + 2) covers
-    # rounding and second-order terms for n <= 2**25; NaN costs stay for fsum.
-    bound = 20.0 * (n + 2) * 2.0**-53 * math.sqrt(n * prefix_sq[-1])
-    near = candidates[~(costs > costs.min() + bound * max(-sorted_values[0], sorted_values[-1]))]
+    total = prefix[-1]
+    sizes = below + 1.0
+    gaps = prefix[below] * n - sizes * total
+    scores = gaps / (sizes * (n - sizes)) * gaps
+    # A split of i values with sum L has the within-cluster cost
+    # sum(x**2) - T**2 / n - S / n, where T is the total and the score
+    # S = (n*L - i*T)**2 / (i*(n - i)) is n times the between-cluster sum of
+    # squares: the least cost is the greatest score. u = 2**-53, A = sum|x|,
+    # M = max|x|. cumsum errs by (n - 1)*u*A at any index, so n*L - i*T errs by
+    # (2n**2 + 1)*u*A with its three roundings; over i*(n - i) it is the gap of
+    # the two means, at most 2M, so a score errs by n*(9n + 8)*u*A*M,
+    # second-order terms included for n <= 2**25. fsum's cost errs by 5*u*A*M,
+    # so the fsum argmin scores within n*(18n + 26)*u*A*M of the greatest, and
+    # 20*n*(n + 2) covers it. The negative values come first, so A is the total
+    # less twice their prefix sum. NaN scores stay for fsum.
+    negative = int(np.searchsorted(sorted_values, 0.0))
+    abs_sum = total - 2.0 * prefix[negative - 1] if negative else total
+    window = 20.0 * n * (n + 2) * 2.0**-53 * abs_sum * max(-sorted_values[0], sorted_values[-1])
+    near = below[~(scores < scores.max() - window)] + 1
     if len(near) == 1:
         return int(near[0])
     values = sorted_values.tolist()
@@ -325,6 +335,23 @@ class MorphVector(NamedTuple):
     centroid_offset: float
 
 
+def _centroid(flat: np.ndarray, shape: tuple[int, int]) -> tuple[float, float]:
+    """(x, y) mean of the pixels at ascending flat row-major indices.
+
+    The coordinate sums are exact integers: the pixels from row y on start at
+    the first index >= y * width, so the row sum counts them once for each
+    y >= 1, and the column sum is the index sum less width times it. While
+    each coordinate sum is below 2**53, `np.mean` of the coordinates adds
+    them exactly too, so both give the same correctly rounded quotient; that
+    holds for images of under 2**31 pixels whose pixel count times longer
+    side is below 2**53, and the int64 index sum cannot wrap there either.
+    """
+    height, width = shape
+    row_starts = np.searchsorted(flat, np.arange(width, height * width, width))
+    row_sum = (height - 1) * len(flat) - int(row_starts.sum())
+    return (int(flat.sum()) - width * row_sum) / len(flat), row_sum / len(flat)
+
+
 def morph_vector(sample: CellSample) -> MorphVector:
     """Extract the 3-component shape vector from one segmented cell.
 
@@ -339,12 +366,10 @@ def morph_vector(sample: CellSample) -> MorphVector:
     if area_nucleus == 0 or area_cytoplasm == 0:
         raise ValidationError(f"{sample.image_id}: degenerate segmentation")
     staining = float(values[~dark].mean()) / 255.0
-    ys, xs = np.divmod(flat, np.shape(sample.mask)[1])
-    cell_centroid = np.array([xs.mean(), ys.mean()])
-    nucleus_centroid = np.array([xs[dark].mean(), ys[dark].mean()])
+    cell_x, cell_y = _centroid(flat, np.shape(sample.mask))
+    nucleus_x, nucleus_y = _centroid(flat[dark], np.shape(sample.mask))
     equivalent_radius = math.sqrt(area_cell / math.pi)
-    delta = nucleus_centroid - cell_centroid
-    offset = float(np.hypot(delta[0], delta[1])) / equivalent_radius
+    offset = float(np.hypot(nucleus_x - cell_x, nucleus_y - cell_y)) / equivalent_radius
     return MorphVector(area_nucleus / area_cytoplasm, staining, offset)
 
 

@@ -24,8 +24,11 @@ def _median_filter_3x3(values: np.ndarray) -> np.ndarray:
     result is one of the nine inputs bit for bit, as the median of an odd
     count is.
     """
-    padded = np.pad(values, 1, mode="edge")
     height, width = values.shape
+    padded = np.empty((height + 2, width + 2), dtype=values.dtype)
+    padded[1:-1, 1:-1] = values
+    padded[0, 1:-1], padded[-1, 1:-1] = values[0], values[-1]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
     top, middle, bottom = (padded[dy : dy + height] for dy in range(3))
     low, high = np.minimum(top, middle), np.maximum(top, middle)
     middle, high = np.minimum(high, bottom), np.maximum(high, bottom)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wbcrescue import morphology, noise
 from wbcrescue.core import ValidationError
 from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
@@ -663,11 +667,23 @@ def _equally_spaced_rgb(base, step, counts):
 def _large_cells(draw):
     """Cells past 64 px: equally spaced RGB or few gray levels (65-2000 px;
     an odd number of equal RGB counts ties), two textured base colors
-    (65-400 px, so the exhaustive oracle stays fast), or many dark pixels
-    with 1-3 bright ones, where `total - left` cancels (65-2000 px)."""
-    kind = draw(st.sampled_from(["rgb", "gray", "textured", "bright"]))
+    (65-400 px, so the exhaustive oracle stays fast), many dark pixels with
+    1-3 bright ones, where `total - left` cancels (65-2000 px), or 2-8 signed
+    float gray levels whose magnitudes span up to 66 decades (65-2000 px),
+    where sum|x| is not the total."""
+    kind = draw(st.sampled_from(["rgb", "gray", "textured", "bright", "float"]))
     n = draw(st.integers(65, 400 if kind == "textured" else 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "float":
+        count = draw(st.integers(2, 8))
+        exponents = rng.uniform(-6, -6 + draw(st.sampled_from([1e-9, 0.01, 1, 6, 66])), count)
+        levels = rng.choice([-1.0, 1.0], count) * 10.0**exponents
+        gray = rng.choice(levels, size=n)
+        gray[:2] = levels[:2]
+        if len(set(gray.tolist())) < 2:
+            gray[0] = -gray[1]
+        pixels = np.repeat(gray[:, None], 3, axis=1)
+        return CellSample("cell", pixels.reshape(1, n, 3), np.ones((1, n), dtype=bool))
     if kind == "rgb":
         levels = int(rng.choice([2, 3, 3, 4, 5, 5]))
         step = rng.integers(1, 256 // levels, size=3)
@@ -949,6 +965,95 @@ def test_morph_vector_matches_mask_reference(sample):
         nucleus, cytoplasm = kmeans2_luminance(sample)
         nc_ratio = int(nucleus.sum()) / int(cytoplasm.sum())
         assert morph_vector(sample).nc_ratio == nc_ratio
+
+
+@st.composite
+def _edge_shaped_cells(draw):
+    """Textured cells on 1xN, Nx1, Fortran-ordered and 65536-wide masks, the
+    shapes where row and column sums are degenerate or the flat indices
+    dwarf the columns."""
+    kind = draw(st.sampled_from(["row", "column", "fortran", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    shape = {"row": (1, n), "column": (n, 1), "fortran": (n // 20 + 2, 23), "wide": (3, 65536)}[kind]
+    density = draw(st.sampled_from([0.002, 0.3, 1.0])) / (100 if kind == "wide" else 1)
+    mask = rng.random(shape) < density
+    mask.flat[rng.choice(mask.size, 2, replace=False)] = True
+    pixels = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+    if kind == "fortran":
+        return CellSample("cell", np.asfortranarray(pixels), np.asfortranarray(mask))
+    return CellSample("cell", pixels, mask)
+
+
+@given(_edge_shaped_cells())
+@settings(max_examples=60, deadline=None)
+def test_morph_vector_matches_mask_reference_on_edge_shapes(sample):
+    assert _bits_or_message(morph_vector, sample) == _bits_or_message(
+        _morph_vector_from_masks_reference, sample
+    )
+
+
+def _near_tie_cell(k, window_share):
+    """k values each of -1, 0 and 1 + eps, with eps a multiple of 2**-52 set
+    so that in exact arithmetic the upper split outscores the lower one by
+    about `window_share` of the window stated in `_best_threshold_split`,
+    20*n*(n + 2)*u*sum|x|*max|x|, the score of i values summing to L being
+    (n*L - i*T)**2 / (i*(n - i)). Returns the values and the exact share."""
+    n = 3 * k
+
+    def values_and_share(top):
+        values = [-1.0] * k + [0.0] * k + [top] * k
+        exact = [Fraction(v) for v in values]
+        total = sum(exact)
+        lower, upper = (
+            (n * sum(exact[:i]) - i * total) ** 2 / (i * (n - i)) for i in (k, 2 * k)
+        )
+        window = 20 * n * (n + 2) * Fraction(1, 2**53) * sum(map(abs, exact)) * Fraction(top)
+        return np.array(values), (upper - lower) / window
+
+    eps = 2.0**-40
+    _, share = values_and_share(1.0 + eps)
+    return values_and_share(1.0 + round(window_share / share * eps * 2**52) * 2.0**-52)
+
+
+@pytest.mark.parametrize("k", [30, 333])
+def test_split_recosts_every_candidate_within_the_window(k, monkeypatch):
+    # The upper split is better, but by less than the window: both must be
+    # costed again with fsum. Far outside the window neither is.
+    exact = morphology._split_cost_exact
+    recosted = []
+
+    def spy(values, split):
+        recosted.append(split)
+        return exact(values, split)
+
+    monkeypatch.setattr(morphology, "_split_cost_exact", spy)
+    values, share = _near_tie_cell(k, 0.7)
+    assert 0.6 < share < 0.8
+    assert _best_threshold_split(values) == 2 * k
+    assert sorted(recosted) == [k, 2 * k]
+    recosted.clear()
+    values, share = _near_tie_cell(k, 1e6)
+    assert share > 1e5
+    assert _best_threshold_split(values) == 2 * k
+    assert recosted == []
+
+
+def test_per_pixel_code_makes_no_blas_call():
+    # OpenBLAS runs a product over per-pixel arrays on its own threads, which
+    # then compete with the --threads workers; only the 3-vector products of
+    # the gate may use it. Equal bits cannot show such a call, so read the code.
+    blas = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+    allowed = {"fit_gaussian_gate", "mahalanobis"}
+    for module in (morphology, noise):
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in allowed:
+                for inner in ast.walk(node):
+                    assert not isinstance(inner, ast.MatMult), node.name
+                    if isinstance(inner, ast.Call):
+                        callee = inner.func
+                        name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                        assert name not in blas, node.name
 
 
 def test_morph_vector_messages_name_the_cell():
