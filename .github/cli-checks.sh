@@ -52,6 +52,17 @@ wbcrescue rescue --swin swin.csv --med med.csv --counts counts.csv --labels rare
 printf 'image_id,label\na,SNE\nb,LY\nc,LY\n' | diff - rescued.csv
 printf 'image_id,base,candidate,phase,spikiness,mahalanobis,final\na,SNE,,NoCandidate,,,SNE\nb,LY,PLY,FailedSemantic,,,LY\nc,LY,PLY,FailedMorphology,,,LY\n' \
   | diff - trace.csv
+# A gate file with a key the format does not define exits 1, naming the
+# line, and writes no predictions.
+printf 'mean = 0 0 0\ncov = 1 0 0 0 1 0 0 0 1\nridge = 0\nn = 30\nbogus = 1 2 3\n' > bad.gate
+status=0
+wbcrescue rescue --swin swin.csv --med med.csv --counts counts.csv --labels rare-labels.txt \
+  --gate bad.gate --skip-missing --out gated.csv 2> gate.err || status=$?
+cat gate.err
+test "$status" = 1 || { echo "::error::a gate file with an unknown key exited $status, not 1"; exit 1; }
+grep -q "bad.gate:5: unknown gate key 'bogus'" gate.err \
+  || { echo "::error::the unknown gate key error did not name its line"; exit 1; }
+test ! -e gated.csv || { echo "::error::a rejected gate file left predictions behind"; exit 1; }
 # Three equally spaced RGB levels, 109 px each: under fsum both thresholds cost
 # the same, and the lower one wins at this size as at any other, so
 # the nucleus is one level and nc_ratio is 0.5.

@@ -25,6 +25,7 @@ from .core import (
     RescueConfig,
     ValidationError,
     default_label_set,
+    errors_in,
     load_label_file,
     parse_config_file,
     write_csv,
@@ -149,7 +150,8 @@ def _cmd_rescue(args) -> int:
         config = parse_config_file(args.config, label_set)
     else:
         config = RescueConfig()
-        config.validate_against(label_set)
+        with errors_in(args.labels):  # the default catalog holds every default rare class
+            config.validate_against(label_set)
     counts = parse_class_counts(args.counts, label_set)
     swin = parse_prob_table(args.swin, label_set)
     med = parse_prob_table(args.med, label_set)
@@ -213,10 +215,8 @@ def _cmd_features(args) -> int:
 
     def extract(image_id: str):
         sample = source(image_id)
-        try:
+        with errors_in(source.mask_path(image_id)):  # an unmeasurable cell: name its mask
             return image_id, morph_vector(sample), spikiness(trace_contour(sample.mask))
-        except ValidationError as exc:  # an unmeasurable cell: name its mask
-            raise ValidationError(f"{source.mask_path(image_id)}: {exc}") from None
 
     rows = parallel_map(extract, ids, args.threads)
     with _atomic(args.out) as tmp:

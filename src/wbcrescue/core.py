@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -37,6 +38,15 @@ FILTERED_CLASSES = frozenset({SPIKY_CLASS, GATED_CLASS})
 
 class ValidationError(ValueError):
     """Bad input content or configuration; maps to CLI exit code 1."""
+
+
+@contextmanager
+def errors_in(where):
+    """Prefix the message of a ValidationError raised inside with `where: `."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -268,9 +278,8 @@ def default_label_set() -> LabelSet:
 def load_label_file(path) -> LabelSet:
     """Read a catalog file: one class name per line, `#` comments allowed."""
     names = [line for _, line in read_lines(path)]
-    if not names:
-        raise ValidationError(f"{path}: no class names found")
-    return LabelSet(names)
+    with errors_in(path):
+        return LabelSet(names)
 
 
 def normalize_probs(
@@ -410,8 +419,9 @@ def parse_config_file(path, label_set: LabelSet) -> RescueConfig:
             fields[key] = _parse_float(path, lineno, key, value)
         else:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-    config = RescueConfig(boost_overrides=overrides, **fields)
-    config.validate_against(label_set)
+    with errors_in(path):
+        config = RescueConfig(boost_overrides=overrides, **fields)
+        config.validate_against(label_set)
     return config
 
 

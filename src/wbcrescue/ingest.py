@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (PLAIN_NUMBER, ClassCounts, LabelSet, NotPlain, ValidationError, csv_field,
-                   join_ids, normalize_probs, read_csv, read_keyed_csv, read_plain_csv,
+                   errors_in, join_ids, normalize_probs, read_keyed_csv, read_plain_csv,
                    write_csv_lines)
 from .netpbm import read_pnm
 
@@ -63,21 +63,22 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     is preserved. Errors name the file, line, and offending column; when
     several rows are bad, the earliest one is reported.
 
-    A plain file (`core.read_plain_csv`) is read in bulk by `np.loadtxt`.
-    Any other file, and any plain one that `loadtxt` or `normalize_probs`
-    rejects, is read again by the row reader, so the result and every error
-    are the row reader's.
+    A plain file (`core.read_plain_csv`) is read in bulk by `np.loadtxt`;
+    any other, or one with a cell `loadtxt` rejects, is read by the row
+    reader. A plain file holds row i on line i + 2, so every result and error
+    is the row reader's.
     """
     width = len(label_set)
     try:
         ids = tuple(chain.from_iterable(
             read_plain_csv(path, ["image_id", *label_set.names], PLAIN_NUMBER)))
         matrix = _load_plain_matrix(path, width)
-        if matrix.shape == (len(ids), width):
-            return ProbTable._own(label_set, ids, normalize_probs(matrix))
-    except (NotPlain, ValueError):  # ValidationError, or a cell loadtxt rejects
-        pass
-    return _parse_prob_table_rows(path, label_set)
+        if matrix.shape != (len(ids), width):
+            raise NotPlain
+    except (NotPlain, ValueError):  # ValueError: a cell loadtxt rejects
+        return _parse_prob_table_rows(path, label_set)
+    probs = normalize_probs(matrix, where=lambda row: f"{path}:{row + 2}")
+    return ProbTable._own(label_set, ids, probs)
 
 
 def _load_plain_matrix(path, width: int) -> np.ndarray:
@@ -136,11 +137,9 @@ def write_prob_table(path, table: ProbTable) -> None:
 def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:
     """Parse a `class,count` CSV; every catalog class must appear once."""
     counts: dict[str, int] = {}
-    for lineno, (name, cell) in read_csv(path, ["class", "count"]):
+    for lineno, (name, cell) in read_keyed_csv(path, ["class", "count"]):
         if name not in label_set:
             raise ValidationError(f"{path}:{lineno}: unknown class name {name!r}")
-        if name in counts:
-            raise ValidationError(f"{path}:{lineno}: duplicate count for class {name!r}")
         try:
             value = int(cell)
         except ValueError:
@@ -153,7 +152,8 @@ def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:
     for name in label_set:
         if name not in counts:
             raise ValidationError(f"{path}: missing count for class {name}")
-    return ClassCounts(tuple(counts[name] for name in label_set))
+    with errors_in(path):
+        return ClassCounts(tuple(counts[name] for name in label_set))
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,8 @@ def load_cell_sample(image_path, mask_path, image_id: str) -> CellSample:
     mask = mask_raw > 127
     pixels.flags.writeable = False
     mask.flags.writeable = False
-    try:
+    with errors_in(f"{image_path}, {mask_path}"):  # the sizes differ: name both files
         return CellSample(image_id, pixels, mask)
-    except ValidationError as exc:  # the image and mask sizes differ: name both files
-        raise ValidationError(f"{image_path}, {mask_path}: {exc}") from None
 
 
 def average_prob_tables(tables: Sequence[ProbTable]) -> ProbTable:

@@ -214,11 +214,6 @@ def _hull_of_distinct(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
 
 
-def convex_hull(points) -> np.ndarray:
-    """Monotone-chain convex hull of integer points, counterclockwise."""
-    return _hull_of_distinct(_distinct_points(points))
-
-
 def polygon_perimeter(points) -> float:
     """Length of the closed polygonal cycle through the given points.
 
@@ -238,14 +233,13 @@ def spikiness(contour) -> float:
 
     Zero for convex shapes (the boundary already is its hull); grows as
     protrusions lengthen the boundary faster than the hull. Contours with
-    fewer than 3 distinct points are degenerate and score 0.
+    fewer than 3 distinct points are degenerate and score 0; the hull of any
+    other keeps its first and last distinct point, so its perimeter is >= 2.
     """
     distinct = _distinct_points(contour)
     if len(distinct) < 3:
         return 0.0
     hull_perimeter = polygon_perimeter(_hull_of_distinct(distinct))
-    if hull_perimeter <= 0.0:
-        return 0.0
     return max(0.0, polygon_perimeter(contour) / hull_perimeter - 1.0)
 
 
@@ -362,9 +356,7 @@ def morph_vector(sample: CellSample) -> MorphVector:
     flat, values, dark = _foreground_split(sample)
     area_cell = len(flat)
     area_nucleus = int(np.count_nonzero(dark))
-    area_cytoplasm = area_cell - area_nucleus
-    if area_nucleus == 0 or area_cytoplasm == 0:
-        raise ValidationError(f"{sample.image_id}: degenerate segmentation")
+    area_cytoplasm = area_cell - area_nucleus  # both > 0: the split lies between two values
     staining = float(values[~dark].mean()) / 255.0
     cell_x, cell_y = _centroid(flat, np.shape(sample.mask))
     nucleus_x, nucleus_y = _centroid(flat[dark], np.shape(sample.mask))
@@ -482,8 +474,13 @@ def save_gate(path, gate: GaussianGate) -> None:
 
 def load_gate(path) -> GaussianGate:
     """Read a gate model file and rebuild the cached precision matrix."""
-    entries = {key: value.split() for _, key, value in read_key_values(path)}
-    for key, length in (("mean", 3), ("cov", 9), ("ridge", 1), ("n", 1)):
+    lengths = {"mean": 3, "cov": 9, "ridge": 1, "n": 1}
+    entries = {}
+    for lineno, key, value in read_key_values(path):
+        if key not in lengths:
+            raise ValidationError(f"{path}:{lineno}: unknown gate key {key!r}")
+        entries[key] = value.split()
+    for key, length in lengths.items():
         if key not in entries:
             raise ValidationError(f"{path}: missing {key!r} line")
         if len(entries[key]) != length:

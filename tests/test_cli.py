@@ -76,10 +76,15 @@ def _rescue_args(paths, gate_path, config_path, out, trace=None, extra=()):
     return args + list(extra)
 
 
-def test_unknown_subcommand_prints_usage(capsys):
+def test_unknown_subcommand_prints_usage(capsys, monkeypatch):
     assert run(["frobnicate"]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
+    monkeypatch.setattr(sys, "argv", ["wbcrescue", "frobnicate"])
+    with pytest.raises(SystemExit) as raised:
+        cli.main()
+    assert raised.value.code == 1
+    assert capsys.readouterr().err == err
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
@@ -200,6 +205,59 @@ def test_rescue_with_one_image_dir_fails_before_parsing(corpus, tmp_path, capsys
         assert run(args) == 1
         assert f"{given} was given without {missing}" in capsys.readouterr().err
         assert not out.exists()
+
+
+_ZERO_COUNTS = "class,count\n" + "".join(f"{name},0\n" for name in default_label_set())
+
+
+@pytest.mark.parametrize(
+    "flag, text, message, without",
+    [
+        # Appended to the corpus gate's four lines.
+        ("--gate", "bogus = 1 2 3\n", ":5: unknown gate key 'bogus'", None),
+        ("--labels", "SNE\nLY\nSNE\n", ": duplicate class name 'SNE'", None),
+        ("--labels", "SNE\n", ": label catalog needs at least 2 classes", None),
+        ("--labels", "SNE\nLY\nPLY\n", ": rare class 'PC' not in label catalog", "--config"),
+        ("--config", "tau = 2\n", ": tau must lie in [0, 1], got 2.0", None),
+        ("--counts", _ZERO_COUNTS, ": all class counts are zero", None),
+        ("--counts", "class,count\nSNE,1\nSNE,2\n", ":3: duplicate class 'SNE'", None),
+    ],
+    ids=["gate-key", "labels-repeated", "labels-one", "labels-without-config", "config-tau",
+         "counts-zero", "counts-repeated"],
+)
+def test_rescue_input_errors_name_their_file(corpus, tmp_path, capsys, flag, text, message,
+                                             without):
+    paths, gate_path, config_path = corpus
+    bad = tmp_path / "bad.txt"
+    bad.write_text((gate_path.read_text() if flag == "--gate" else "") + text, encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    args = _rescue_args(paths, gate_path, config_path, out)
+    args[args.index(flag) + 1] = str(bad)
+    if without:
+        del args[args.index(without) : args.index(without) + 2]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {bad}{message}\n"
+    assert not out.exists()
+
+
+def test_an_output_that_cannot_replace_its_target_leaves_no_temporary(corpus, tmp_path, capsys):
+    paths, gate_path, config_path = corpus
+    out = tmp_path / "pred.csv"
+    out.mkdir()
+    assert run(_rescue_args(paths, gate_path, config_path, out)) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert list(tmp_path.iterdir()) == [out]
+    assert not any(out.iterdir())
+
+
+def test_features_with_images_naming_a_file_is_io_error(tmp_path, capsys):
+    image = tmp_path / "a.ppm"
+    write_pnm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+    out = tmp_path / "features.csv"
+    args = ["features", "--images", str(image), "--masks", str(tmp_path), "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"i/o error: {image} is not a directory\n"
+    assert not out.exists()
 
 
 def test_rescue_rejects_unfilterable_rare_class(corpus, tmp_path, capsys):
@@ -347,7 +405,7 @@ def _fail(exc):
     return fail
 
 
-@pytest.mark.parametrize("patch", ["CDLL raises", "no mallopt", "confstr raises"])
+@pytest.mark.parametrize("patch", ["CDLL raises", "no mallopt", "confstr raises", "not glibc"])
 def test_allocator_tuning_is_a_silent_no_op_where_it_cannot_run(tmp_path, monkeypatch, capsys,
                                                                  patch):
     images = tmp_path / "images"
@@ -358,6 +416,9 @@ def test_allocator_tuning_is_a_silent_no_op_where_it_cannot_run(tmp_path, monkey
         monkeypatch.setattr(cli.ctypes, "CDLL", _fail(OSError("no such library")))
     elif patch == "no mallopt":
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    elif patch == "not glibc":  # as on musl: no version, and mallopt is never looked up
+        monkeypatch.setattr(cli.os, "confstr", lambda name: None)
+        monkeypatch.setattr(cli.ctypes, "CDLL", _fail(AssertionError("CDLL was loaded")))
     else:
         monkeypatch.setattr(cli.os, "confstr", _fail(ValueError("unrecognized configuration name")))
     capsys.readouterr()
@@ -569,8 +630,10 @@ def test_negative_threads_is_usage_error(tmp_path, capsys):
         "features", "noise-score", "inject-noise", "evaluate",
     )
     for command in commands:
-        assert run(["--threads", "-1", command]) == 1
-        assert "argument --threads: must be an integer >= 0" in capsys.readouterr().err
+        for text in ("-1", "abc"):
+            assert run(["--threads", text, command]) == 1
+            assert f"argument --threads: must be an integer >= 0, got {text!r}" in \
+                capsys.readouterr().err
     truth = write_csv(tmp_path / "truth.csv", ["image_id", "label"], [["a", "LY"]])
     out = tmp_path / "report.txt"
     args = ["evaluate", "--pred", str(truth), "--truth", str(truth), "--out", str(out)]

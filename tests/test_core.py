@@ -81,6 +81,38 @@ def test_load_label_file(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("SNE\nLY\nSNE\n", "duplicate class name 'SNE'"),
+        ("SNE\n", "label catalog needs at least 2 classes"),
+        ("# no names\n", "label catalog needs at least 2 classes"),
+    ],
+    ids=["repeated", "one", "empty"],
+)
+def test_label_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as raised:
+        load_label_file(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: default_label_set().index_of("XYZ"), "unknown class name 'XYZ'"),
+        (lambda: default_label_set().name_at(13), "class id 13 out of range"),
+        (lambda: normalize_probs([0.5, 0.5]), "expected an (N, K) matrix"),
+        (lambda: normalize_probs([[1.0], [1.0]]), "expected an (N, K) matrix"),
+    ],
+    ids=["index_of", "name_at", "probs-1d", "probs-one-column"],
+)
+def test_core_types_reject_bad_arguments(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
     "reader",
     [
         load_label_file,
@@ -219,6 +251,8 @@ def test_class_counts_validation():
         ClassCounts((0, 0))
     with pytest.raises(ValidationError):
         ClassCounts((1, -2))
+    with pytest.raises(ValidationError, match="empty class counts"):
+        ClassCounts(())
 
 
 def test_config_defaults_are_sane():
@@ -293,6 +327,29 @@ def test_config_file_rejects_bad_number(tmp_path, labels13):
     path.write_text("tau = zero\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="not a number"):
         parse_config_file(path, labels13)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tau 0.5\n", ":1: expected key=value, got 'tau 0.5'"),
+        ("# boosts\nboost.XYZ = 2\n", ":2: boost override for unknown class 'XYZ'"),
+        ("tau = 2\n", ": tau must lie in [0, 1], got 2.0"),
+        ("boost_cap = 0.5\n", ": boost_cap must be a finite value >= 1, got 0.5"),
+        ("boost.PLY = 12\n", ": boost override for 'PLY' must lie in [1, 10.0], got 12.0"),
+        ("rare_classes = PLY\nboost.PC = 2\n", ": boost override for non-rare class 'PC'"),
+        ("rare_classes = PLY,VLY\n", ": rare classes without a shape filter: ['VLY'] "
+         "(supported: ['PC', 'PLY'])"),
+    ],
+    ids=["no-equals", "boost-unknown", "tau", "boost-cap", "boost-range", "boost-non-rare",
+         "rare-unfiltered"],
+)
+def test_config_file_errors_name_the_file(tmp_path, labels13, text, message):
+    path = tmp_path / "rescue.conf"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as raised:
+        parse_config_file(path, labels13)
+    assert str(raised.value) == f"{path}{message}"
 
 
 def test_config_file_rejects_repeated_key(tmp_path, labels13):

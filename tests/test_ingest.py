@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from wbcrescue.core import (ENTRY_EPSILON, PLAIN_NUMBER, SUM_DELTA, LabelSet, ValidationError,
                             read_csv)
 from wbcrescue.ingest import (
+    CellSample,
     DirectorySampleSource,
     ProbTable,
     SampleNotFoundError,
@@ -65,6 +66,21 @@ def test_bad_magic_rejected(tmp_path):
         read_pnm(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P5\n0 2\n255\n", "width must be positive, got 0"),
+        (b"P6\n2 -3\n255\n", "height must be positive, got -3"),
+        (b"P5\n2 2x\n255\n", "bad height token b'2x'"),
+    ],
+)
+def test_bad_dimension_rejected(tmp_path, header, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + b"\x00" * 12)
+    with pytest.raises(ValidationError, match=re.escape(f"img.pgm: {message}")):
+        read_pnm(path)
+
+
 def test_wrong_maxval_rejected(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
@@ -84,6 +100,28 @@ def test_truncated_raster_rejected(tmp_path):
         path.write_bytes(header + b"\x00\x00")
         with pytest.raises(ValidationError, match=rf"truncated raster \(2 of {expected} bytes\)"):
             read_pnm(path)
+
+
+@pytest.mark.parametrize("data", [b"", b"P5", b"P5\n2 2\n# maxval next", b"P6 2 2"])
+def test_file_ending_inside_its_header_is_rejected(tmp_path, data):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match=r"img\.pgm: truncated netpbm header$"):
+        read_pnm(path)
+
+
+@pytest.mark.parametrize(
+    "pixels, message",
+    [
+        (np.zeros((2, 2), dtype=np.float64), "netpbm raster must be uint8"),
+        (np.zeros((2, 2, 4), dtype=np.uint8), "cannot encode array of shape (2, 2, 4)"),
+        (np.zeros(4, dtype=np.uint8), "cannot encode array of shape (4,)"),
+    ],
+)
+def test_write_pnm_rejects_arrays_it_cannot_encode(tmp_path, pixels, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        write_pnm(tmp_path / "img.ppm", pixels)
+    assert not (tmp_path / "img.ppm").exists()
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -113,6 +151,11 @@ def test_load_cell_sample_promotes_grayscale(tmp_path):
     assert tuple(sample.pixels[0, 0]) == (7, 7, 7)
     assert sample.pixels.flags.c_contiguous
     assert int(sample.mask.sum()) == 4
+
+
+def test_cell_sample_needs_three_channels():
+    with pytest.raises(ValidationError, match=r"^c: pixels must be \(H, W, 3\)$"):
+        CellSample("c", np.zeros((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=bool))
 
 
 def test_full_mask_counts_all_foreground(tmp_path):
@@ -483,6 +526,28 @@ def test_parse_prob_table_reports_the_earliest_of_two_bad_rows(tmp_path, labels2
     assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
 
 
+@pytest.mark.parametrize("line", [2, 3, 501])
+def test_plain_table_with_a_bad_row_names_it_without_the_row_reader(tmp_path, labels2, line):
+    path = tmp_path / "p.csv"
+    rows = [f"r{row},0.25,0.75" for row in range(2, 502)]
+    rows[line - 2] = f"r{line},0.5,0.4"
+    path.write_text("image_id,SNE,LY\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    message = f"{path}:{line}: probability sum out of tolerance (got 0.900000)"
+    assert _parse_outcome(_parse_prob_table_rows_reference, path, labels2) == ("error", message)
+    with mock.patch("wbcrescue.ingest._parse_prob_table_rows",
+                    side_effect=AssertionError("a plain file was read row by row")) as rows_reader:
+        assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
+    rows_reader.assert_not_called()
+
+
+def test_a_header_that_needs_quoting_is_read_by_the_row_reader(tmp_path):
+    labels = LabelSet(["a,b", "LY"])
+    path = write_csv(tmp_path / "p.csv", ["image_id", "a,b", "LY"], [["x", "0.25", "0.75"]])
+    assert path.read_bytes().startswith(b'image_id,"a,b",LY\n')
+    table = parse_prob_table(path, labels)
+    assert (table.ids, table.matrix.tolist()) == (("x",), [[0.25, 0.75]])
+
+
 def test_parse_prob_table_names_the_line_of_bytes_that_are_not_utf8(tmp_path, labels2):
     path = tmp_path / "p.csv"
     path.write_bytes(b"image_id,SNE,LY\na,0.5,0.5\n\"b\n\",0.5,0.5\ne\xff,0.5,0.5\nf,0.5,0.5\n")
@@ -610,6 +675,22 @@ def test_parse_class_counts_rejects_bad_rows(tmp_path, labels2):
     fractional = write_csv(tmp_path / "c.csv", ["class", "count"], [["SNE", "1.5"], ["LY", "2"]])
     with pytest.raises(ValidationError, match="non-integer count"):
         parse_class_counts(fractional, labels2)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["SNE", "1"], ["SNE", "2"], ["LY", "3"]], ":3: duplicate class 'SNE'"),
+        ([["SNE", "1"], ["", "2"]], ":3: empty class"),
+        ([["SNE", "0"], ["LY", "0"]], ": all class counts are zero"),
+    ],
+    ids=["repeated", "empty", "all-zero"],
+)
+def test_class_counts_errors_name_the_file(tmp_path, labels2, rows, message):
+    path = write_csv(tmp_path / "counts.csv", ["class", "count"], rows)
+    with pytest.raises(ValidationError) as raised:
+        parse_class_counts(path, labels2)
+    assert str(raised.value) == f"{path}{message}"
 
 
 # --------------------------------------------------------------- fusion

@@ -201,6 +201,20 @@ def test_empty_matrix_is_an_error():
         compute_metrics(np.zeros((3, 3), dtype=int))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.ones(3, dtype=int), "confusion matrix must be square"),
+        (np.ones((2, 3), dtype=int), "confusion matrix must be square"),
+        (np.array([[2, -1], [0, 1]]), "confusion matrix entries must be non-negative"),
+    ],
+    ids=["1-d", "2x3", "negative"],
+)
+def test_malformed_confusion_matrix_is_an_error(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        compute_metrics(matrix)
+
+
 # ------------------------------------------------------------- evaluate
 
 

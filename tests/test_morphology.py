@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,14 @@ from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
     _NEXT_DIRECTION,
     _best_threshold_split,
+    _distinct_points,
+    _foreground_split,
+    _hull_of_distinct,
     _invert_spd_3x3,
     LUMA_WEIGHTS,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
-    convex_hull,
     fit_gaussian_gate,
     kmeans2_luminance,
     largest_foreground_component,
@@ -54,6 +57,7 @@ def test_single_pixel_contour_is_degenerate():
     contour = trace_contour(mask)
     assert contour.tolist() == [[1, 1]]
     assert spikiness(contour) == 0.0
+    assert polygon_perimeter(contour) == 0.0
 
 
 def test_solid_3x3_square_ring():
@@ -459,6 +463,12 @@ def test_spikiness_translation_and_mirror_invariance():
     assert spikiness(trace_contour(base[::-1, :])) == score
 
 
+def convex_hull(points):
+    """Monotone-chain hull of integer points, counterclockwise, as
+    `spikiness` computes it."""
+    return _hull_of_distinct(_distinct_points(points))
+
+
 def test_convex_hull_of_square_ring():
     points = trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1)))
     hull = convex_hull(points)
@@ -523,6 +533,15 @@ def test_hull_and_spikiness_match_oracle_on_stars():
         contour = trace_contour(star_mask(48, 7, 12.0, amplitude))
         assert np.array_equal(convex_hull(contour), _hull_reference(contour))
         assert spikiness(contour) == _spikiness_reference(contour)
+
+
+@given(st.one_of(_point_sets, _random_masks().map(trace_contour)))
+@settings(max_examples=300, deadline=None)
+def test_hull_of_three_distinct_points_has_a_positive_perimeter(points):
+    # `spikiness` divides by this perimeter without a zero check.
+    distinct = _distinct_points(points)
+    if len(distinct) >= 3:
+        assert polygon_perimeter(_hull_of_distinct(distinct)) >= 2.0
 
 
 # -------------------------------------------------------------- 2-means
@@ -967,6 +986,17 @@ def test_morph_vector_matches_mask_reference(sample):
         assert morph_vector(sample).nc_ratio == nc_ratio
 
 
+@given(st.one_of(_textured_cells(), _large_cells()))
+@settings(max_examples=300, deadline=None)
+def test_split_leaves_both_clusters_non_empty(sample):
+    # `morph_vector` divides by both cluster sizes without a zero check.
+    try:
+        _, _, dark = _foreground_split(sample)
+    except ValidationError:  # an empty mask or a flat luminance
+        return
+    assert dark.any() and not dark.all()
+
+
 @st.composite
 def _edge_shaped_cells(draw):
     """Textured cells on 1xN, Nx1, Fortran-ordered and 65536-wide masks, the
@@ -1275,6 +1305,22 @@ def test_mahalanobis_rejects_non_finite():
         mahalanobis(gate, [math.inf, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_gaussian_gate(np.ones((5, 2))), "calibration features must be 3-vectors"),
+        (lambda: fit_gaussian_gate(_jittered_ones(), -1.0), "ridge_scale must be >= 0, got -1.0"),
+        (lambda: mahalanobis(fit_gaussian_gate(_jittered_ones()), [0.0, 0.0]),
+         "morphological vector must have 3 components"),
+        (lambda: calibrate_spikiness_threshold([0.1, math.nan]), "non-finite reference score"),
+    ],
+    ids=["fit-shape", "fit-ridge", "mahalanobis-shape", "calibrate-nan"],
+)
+def test_gate_and_calibration_reject_bad_arguments(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
 # --------------------------------------------------- threshold calibration
 
 
@@ -1326,10 +1372,24 @@ def test_gate_file_accepts_comments_and_rejects_repeated_key(tmp_path):
         load_gate(path)
 
 
+def test_gate_file_rejects_unknown_and_missing_keys(tmp_path):
+    path = tmp_path / "pc.gate"
+    save_gate(path, fit_gaussian_gate(np.random.default_rng(4).normal(size=(30, 3))))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + "bogus = 1 2 3\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"pc\.gate:5: unknown gate key 'bogus'$"):
+        load_gate(path)
+    path.write_text(text.replace("ridge", "# ridge"), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"pc\.gate: missing 'ridge' line$"):
+        load_gate(path)
+
+
 def test_gate_file_rejects_garbage(tmp_path):
     path = tmp_path / "pc.gate"
     for bad, message in (
         ({"mean": "1 2"}, "'mean' needs 3 values"),
+        ({"mean": "nan 0 0"}, "non-finite gate parameters"),
+        ({"cov": "1 0.5 0 0 1 0 0 0 1"}, "covariance is not symmetric"),
         ({"ridge": "nan"}, "ridge must be finite and >= 0, got nan"),
         ({"ridge": "inf"}, "ridge must be finite and >= 0, got inf"),
         ({"n": "-5"}, "n must be > 3, got -5"),

@@ -209,3 +209,5 @@ def test_inject_validates_parameters():
         inject_salt_pepper(image, 1.1)
     with pytest.raises(ValidationError):
         inject_salt_pepper(image, 0.5, salt_ratio=2.0)
+    with pytest.raises(ValidationError, match=r"expected an \(H, W, 3\) image"):
+        inject_salt_pepper(image[:, :, 0], 0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from wbcrescue.morphology import (
 from wbcrescue.rescue import (
     BoostFactors,
     compute_boost_factors,
+    parallel_map,
     phase1_candidate,
     phase3_filter,
     rescue_batch,
@@ -121,6 +123,31 @@ def test_boost_factors_reject_non_rare_boosts():
     factors[LY] = 2.0
     with pytest.raises(ValidationError):
         BoostFactors(factors, frozenset({PLY, PC}))
+
+
+def _two_class_table():
+    return ProbTable(LabelSet(["PLY", "PC"]), ["a"], [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BoostFactors(np.full(K, 0.5), frozenset({PLY, PC})),
+         "boost factors must be finite and >= 1"),
+        (lambda: BoostFactors(np.full(K, math.inf), frozenset(range(K))),
+         "boost factors must be finite and >= 1"),
+        (lambda: compute_boost_factors(LABELS, ClassCounts((1, 2)), RescueConfig()),
+         "class counts length 2 does not match catalog size 13"),
+        (lambda: parallel_map(str, [1, 2], -1), "thread count must be >= 0, got -1"),
+        (lambda: rescue_batch(_two_class_table(), ProbTable(LABELS, ["a"], [_probs({})]),
+                              None, _counts(), None, RescueConfig()),
+         "probability tables use different label catalogs"),
+    ],
+    ids=["boost-below-1", "boost-inf", "counts-length", "threads", "catalogs"],
+)
+def test_library_calls_reject_bad_arguments(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 # --------------------------------------------------------------- phases
