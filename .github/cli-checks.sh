@@ -40,6 +40,30 @@ printf 'image_id,label\nb,LY\na,SNE\n' > truth-reordered.csv
 wbcrescue evaluate --pred pred.csv --truth truth-reordered.csv --labels labels.txt \
   --out report.txt --confusion confusion.csv
 printf 'true\\pred,SNE,LY\nSNE,1,0\nLY,0,1\n' | diff - confusion.csv
+# A 200-character id, longer than the bulk reader reads, goes through the
+# row reader and comes out byte for byte.
+long_id=$(python3 -c 'print("x" * 200)')
+printf 'image_id,SNE,LY\n%s,0.25,0.75\nb,0.5,0.5\n' "$long_id" > long1.csv
+printf 'image_id,SNE,LY\nb,1,0\n%s,0.75,0.25\n' "$long_id" > long2.csv
+wbcrescue ensemble long1.csv long2.csv --labels labels.txt --out long-mean.csv
+printf 'image_id,SNE,LY\n%s,0.5,0.5\nb,0.75,0.25\n' "$long_id" | diff - long-mean.csv
+# A blank line in a label file is skipped: the report is the same as
+# without it.
+printf 'image_id,label\na,SNE\n\nb,SNE\n' > truth-blank.csv
+wbcrescue evaluate --pred pred.csv --truth truth.csv --out report-plain.txt
+wbcrescue evaluate --pred pred.csv --truth truth-blank.csv --out report-blank.txt
+diff report-plain.txt report-blank.txt
+# A plain table with a bad row exits 1, naming the file and line, and
+# writes nothing.
+printf 'image_id,SNE,LY\na,0.5,0.5\nb,0.5,0.4\n' > bad-row.csv
+status=0
+wbcrescue ensemble bad-row.csv fold1.csv --labels labels.txt --out bad-mean.csv 2> bad-row.err \
+  || status=$?
+cat bad-row.err
+test "$status" = 1 || { echo "::error::a table with a bad row exited $status, not 1"; exit 1; }
+grep -q "bad-row.csv:3: probability sum out of tolerance (got 0.900000)" bad-row.err \
+  || { echo "::error::the bad row error did not name its file and line"; exit 1; }
+test ! -e bad-mean.csv || { echo "::error::a rejected table left a mean behind"; exit 1; }
 # One row per early phase: a has no rare candidate, the verifier
 # rejects b, and c reaches the shape filters with no --images, so
 # --skip-missing denies it as a missing sample.

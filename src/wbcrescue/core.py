@@ -157,56 +157,88 @@ def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-# A field `csv.reader` returns as written, on every supported Python: no
-# delimiter, quote, line break or NUL (Python 3.10's `csv` rejects NUL).
-PLAIN_FIELD = '[^,"\r\n\x00]+'
-# The cells that `float()` and `np.loadtxt` read alike, or reject alike:
-# `loadtxt` rejects `1_0` and non-ASCII digits, which `float()` accepts.
-PLAIN_NUMBER = "[-+0-9.eE]+"
+# Keys of a plain CSV file are read in bulk when shorter than this many
+# UTF-8 bytes: `np.loadtxt` cuts a longer field to its width silently.
+PLAIN_KEY_BYTES = 32
+# Bytes that no plain file holds: a quote; NUL, which `loadtxt` drops from
+# the end of a text field; \x1c-\x1f, which `loadtxt` strips from a number
+# and `float()` does not.
+_NOT_PLAIN_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-class NotPlain(Exception):
-    """Raised by `read_plain_csv` on a file it does not read in bulk."""
+def read_plain_csv(path, header: Sequence[str],
+                   cell: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    r"""The keys and the (N, len(header) - 1) other cells of a plain CSV
+    file, each cell read as the NumPy type `cell` by one `np.loadtxt` call;
+    None for any other file, which its readers then read with
+    `read_keyed_csv`. A text `cell` type holds each cell's UTF-8 bytes, cut
+    to its width.
 
-
-def read_plain_csv(path, header: Sequence[str], cell: str) -> Iterator[list]:
-    r"""Yield the rows of a plain CSV file a chunk at a time, each row as
-    `re.findall` gives its groups: the key alone when `cell`, a regex, has no
-    group, else a tuple that starts with the key. Raise NotPlain for a file
-    that is not plain, maybe after some chunks; its readers then read it
-    again with `read_keyed_csv`.
-
-    A plain file reads the same under `read_keyed_csv`, `str.split(",")` and
-    `np.loadtxt`: strict UTF-8; the exact header, each name a PLAIN_FIELD;
-    at least one row, each a PLAIN_FIELD key followed by exactly one `cell`
-    per other header column; no `\r` but in a `\r\n` terminator (the last
-    line may have none); no line longer than `csv.field_size_limit()`; and
-    no key twice. The file is never held as one string."""
-    if not all(re.fullmatch(PLAIN_FIELD, name) for name in header):
-        raise NotPlain
-    # `^` anchors each match at a line start, and no field holds a line
-    # break, so a chunk that yields one match per line matches line by line.
-    row = re.compile(
-        f"^({PLAIN_FIELD})" + f",{cell}" * (len(header) - 1) + r"(?:\r?\n|\Z)", re.MULTILINE
-    )
-    limit = csv.field_size_limit()
-    keys: set[str] = set()
-    rows = 0
-    with open(path, newline="", encoding="utf-8") as handle:
+    A plain file reads the same under `read_keyed_csv` and `loadtxt`:
+    - strict UTF-8 and the exact header line, with no `,` in a name;
+    - none of `_NOT_PLAIN_BYTES`, and `\r` only in a `\r\n` line end;
+    - no blank line, which `loadtxt` skips, so row i is on line i + 2;
+    - at least one row, each with exactly one field per header column
+      (`loadtxt` rejects any other count) and each cell one that `loadtxt`
+      reads as `cell`;
+    - keys non-empty, unique and shorter than PLAIN_KEY_BYTES, so that none
+      was cut;
+    - no line longer than `csv.field_size_limit()`.
+    """
+    if not _plain_bytes(path, header):
+        return None
+    dtype = np.dtype([("key", f"S{PLAIN_KEY_BYTES}"), ("cells", cell, (len(header) - 1,))])
+    # Each byte is read as the Latin-1 character of that code, so a text field
+    # holds the bytes of the file. The file is passed open, in binary: given
+    # a path, `loadtxt` would read a file named `*.gz` or `*.bz2` as
+    # compressed, and a binary file ends its lines only at `\n`.
+    with open(path, "rb") as handle:
         try:
-            if handle.readline() not in {",".join(header) + "\n", ",".join(header) + "\r\n"}:
-                raise NotPlain
-            while lines := handle.readlines(1 << 12):
-                found = row.findall("".join(lines))
-                rows += len(lines)
-                keys.update([groups[0] for groups in found] if row.groups > 1 else found)
-                if len(found) != len(lines) or len(keys) < rows or max(map(len, lines)) > limit:
-                    raise NotPlain
-                yield found
-        except UnicodeDecodeError:
-            raise NotPlain from None
-    if not rows:
-        raise NotPlain
+            rows = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                              ndmin=1, encoding="latin-1")
+        except ValueError:  # a field count or a cell that it rejects
+            return None
+    if np.char.str_len(rows["key"]).max() >= PLAIN_KEY_BYTES:
+        return None
+    keys = tuple([key.decode() for key in rows["key"].tolist()])
+    if "" in keys or len(set(keys)) < len(keys):
+        return None
+    return keys, rows["cells"]
+
+
+def _plain_bytes(path, header: Sequence[str]) -> bool:
+    """Whether a file holds the bytes a plain CSV file may hold
+    (`read_plain_csv`), with a line after the header. The file is read a
+    chunk at a time, never whole."""
+    head = ",".join(header).encode("utf-8")
+    if head.count(b",") != len(header) - 1:
+        return False
+    limit = csv.field_size_limit()
+    lines = 0
+    with open(path, "rb") as handle:
+        if handle.readline() not in {head + b"\n", head + b"\r\n"}:
+            return False
+        handle.seek(0)
+        # Each chunk ends at a line end, or at the end of the file, so no
+        # UTF-8 sequence spans two chunks.
+        while chunk := handle.read(1 << 20) + handle.readline():
+            if any(byte in chunk for byte in _NOT_PLAIN_BYTES) or (
+                    b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+                return False
+            if not chunk.isascii():
+                try:
+                    chunk.decode("utf-8")
+                except UnicodeDecodeError:
+                    return False
+            ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            # Bytes per line, its `\n` included; the last is a line without
+            # one, 0 when the chunk ends in `\n`. A line of 2 bytes or fewer
+            # is blank (`loadtxt` would skip it) or holds no row.
+            sizes = np.diff(ends, prepend=-1, append=len(chunk) - 1)
+            if sizes[:-1].min(initial=3) <= 2 or sizes.max() > limit:
+                return False
+            lines += len(ends) + bool(sizes[-1])
+    return lines > 1
 
 
 def read_keyed_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -223,11 +255,16 @@ def read_keyed_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]
         yield lineno, row
 
 
-def join_ids(ids: Sequence[str], other: Sequence[str], missing: str, extra: str) -> list[int]:
-    """The row of `other` that holds each id of `ids`, in `ids` order; each
-    side holds an id once. Raise ValidationError unless both hold the same
-    ids: the message is `missing` for ids only `ids` holds, else `extra`,
-    followed by up to five of those ids, sorted, and `...` when there are more."""
+def join_ids(ids: Sequence[str], other: Sequence[str], missing: str,
+             extra: str) -> slice | list[int]:
+    """The rows of `other` that hold the ids of `ids`, in `ids` order, as a
+    NumPy index: `slice(None)` when both list the same ids in the same order,
+    else the row of each id. Each side holds an id once. Raise
+    ValidationError unless both hold the same ids: the message is `missing`
+    for ids only `ids` holds, else `extra`, followed by up to five of those
+    ids, sorted, and `...` when there are more."""
+    if tuple(ids) == tuple(other):
+        return slice(None)
     index = dict(zip(other, range(len(other))))
     rows = [index.get(image_id, -1) for image_id in ids]
     if -1 in rows:

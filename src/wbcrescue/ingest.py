@@ -6,15 +6,13 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (PLAIN_NUMBER, ClassCounts, LabelSet, NotPlain, ValidationError, csv_field,
-                   errors_in, join_ids, normalize_probs, read_keyed_csv, read_plain_csv,
-                   write_csv_lines)
+from .core import (ClassCounts, LabelSet, ValidationError, csv_field, errors_in, join_ids,
+                   normalize_probs, read_keyed_csv, read_plain_csv, write_csv_lines)
 from .netpbm import read_pnm
 
 
@@ -63,31 +61,16 @@ def parse_prob_table(path, label_set: LabelSet) -> ProbTable:
     is preserved. Errors name the file, line, and offending column; when
     several rows are bad, the earliest one is reported.
 
-    A plain file (`core.read_plain_csv`) is read in bulk by `np.loadtxt`;
-    any other, or one with a cell `loadtxt` rejects, is read by the row
-    reader. A plain file holds row i on line i + 2, so every result and error
-    is the row reader's.
+    A plain file (`core.read_plain_csv`) is read in bulk; any other is read
+    by the row reader. A plain file holds row i on line i + 2, so every
+    result and error is the row reader's.
     """
-    width = len(label_set)
-    try:
-        ids = tuple(chain.from_iterable(
-            read_plain_csv(path, ["image_id", *label_set.names], PLAIN_NUMBER)))
-        matrix = _load_plain_matrix(path, width)
-        if matrix.shape != (len(ids), width):
-            raise NotPlain
-    except (NotPlain, ValueError):  # ValueError: a cell loadtxt rejects
+    plain = read_plain_csv(path, ["image_id", *label_set.names], "f8")
+    if plain is None:
         return _parse_prob_table_rows(path, label_set)
+    ids, matrix = plain
     probs = normalize_probs(matrix, where=lambda row: f"{path}:{row + 2}")
     return ProbTable._own(label_set, ids, probs)
-
-
-def _load_plain_matrix(path, width: int) -> np.ndarray:
-    """The (N, width) float64 cells after the key column of a plain CSV file.
-    The file is passed open: given a path, `loadtxt` would read a file named
-    `*.gz` or `*.bz2` as compressed."""
-    with open(path, encoding="utf-8") as handle:
-        return np.loadtxt(handle, delimiter=",", skiprows=1, usecols=tuple(range(1, width + 1)),
-                          comments=None, ndmin=2)
 
 
 def _parse_prob_table_rows(path, label_set: LabelSet) -> ProbTable:

@@ -7,8 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (PLAIN_FIELD, ClassId, LabelSet, NotPlain, ValidationError, join_ids,
-                   read_keyed_csv, read_plain_csv, write_csv)
+from .core import (ClassId, LabelSet, ValidationError, join_ids, read_keyed_csv, read_plain_csv,
+                   write_csv)
 
 
 def build_confusion(
@@ -90,38 +90,46 @@ def compute_metrics(confusion: np.ndarray) -> MetricsReport:
     )
 
 
-def read_label_csv(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
-    """Read an `image_id,label` CSV, mapping labels through the catalog; ids
-    must be non-empty and unique. A plain file (`core.read_plain_csv`) whose
-    labels are all in the catalog is read in bulk; any other is read
-    again by the row reader, so every error is the row reader's."""
-    index = {name: class_id for class_id, name in enumerate(label_set)}
-    try:
-        return [(image_id, index[name])
-                for rows in read_plain_csv(path, ["image_id", "label"], f"({PLAIN_FIELD})")
-                for image_id, name in rows]
-    except (NotPlain, KeyError):  # KeyError: a label outside the catalog
-        return _read_label_rows(path, label_set)
+def read_label_csv(path, label_set: LabelSet) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read an `image_id,label` CSV as its ids and their int64 class ids,
+    mapping labels through the catalog; ids must be non-empty and unique. A
+    plain file (`core.read_plain_csv`) whose labels are all in the catalog
+    is read in bulk; any other is read by the row reader, so every error is
+    the row reader's."""
+    names = np.array([name.encode("utf-8") for name in label_set.names])
+    # A label longer than every name is cut to one byte more, and matches none.
+    plain = read_plain_csv(path, ["image_id", "label"], f"S{names.itemsize + 1}")
+    # A plain file holds no NUL, so no label matches a name that holds one;
+    # a bytes array would drop it from the end of the name.
+    if plain is not None and not any("\x00" in name for name in label_set.names):
+        ids, labels = plain[0], plain[1][:, 0]
+        order = np.argsort(names)
+        class_ids = order[np.searchsorted(names, labels, sorter=order).clip(max=len(names) - 1)]
+        if (names[class_ids] == labels).all():
+            return ids, class_ids
+    return _read_label_rows(path, label_set)
 
 
-def _read_label_rows(path, label_set: LabelSet) -> list[tuple[str, ClassId]]:
-    rows: list[tuple[str, ClassId]] = []
+def _read_label_rows(path, label_set: LabelSet) -> tuple[tuple[str, ...], np.ndarray]:
+    ids: list[str] = []
+    labels: list[ClassId] = []
     for lineno, (image_id, name) in read_keyed_csv(path, ["image_id", "label"]):
         if name not in label_set:
             raise ValidationError(f"{path}:{lineno}: unknown label {name!r}")
-        rows.append((image_id, label_set.index_of(name)))
-    if not rows:
+        ids.append(image_id)
+        labels.append(label_set.index_of(name))
+    if not ids:
         raise ValidationError(f"{path}: no rows")
-    return rows
+    return tuple(ids), np.array(labels, dtype=np.int64)
 
 
 def evaluate(pred_path, truth_path, label_set: LabelSet) -> tuple[MetricsReport, np.ndarray]:
     """Join predictions with ground truth on image_id and score them."""
-    pred_ids, pred_labels = zip(*read_label_csv(pred_path, label_set))
-    truth_ids, truth_labels = zip(*read_label_csv(truth_path, label_set))
+    pred_ids, pred_labels = read_label_csv(pred_path, label_set)
+    truth_ids, truth_labels = read_label_csv(truth_path, label_set)
     rows = join_ids(truth_ids, pred_ids, f"{pred_path}: missing predictions for ids",
                     f"{pred_path}: predictions for unknown ids")
-    confusion = build_confusion(truth_labels, [pred_labels[row] for row in rows], len(label_set))
+    confusion = build_confusion(truth_labels, pred_labels[rows], len(label_set))
     return compute_metrics(confusion), confusion
 
 

@@ -300,6 +300,9 @@ def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.nd
     if values.size < 2:
         raise ValidationError(f"{sample.image_id}: need at least 2 foreground pixels to cluster")
     sorted_values = np.sort(values)
+    # -inf sorts first, and +inf and NaN last, so the ends show any of them.
+    if not (math.isfinite(sorted_values[0]) and math.isfinite(sorted_values[-1])):
+        raise ValidationError(f"{sample.image_id}: non-finite luminance")
     if sorted_values[0] == sorted_values[-1]:
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
     cut = sorted_values[_best_threshold_split(sorted_values) - 1]

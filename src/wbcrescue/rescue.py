@@ -108,9 +108,9 @@ def phase3_filter(
     Returns the last four fields of the row's `DecisionTrace`, in field
     order: `(phase_reached, spikiness, mahalanobis, error)`, the phase being
     `Phase.RESCUED` or `Phase.FAILED_MORPHOLOGY`. A sample whose morphology
-    cannot be measured (empty mask, flat luminance) is denied with the
-    measurement's error rather than erroring out: an unmeasurable cell must
-    not be rescued.
+    cannot be measured (empty mask, flat or non-finite luminance) is denied
+    with the measurement's error rather than erroring out: an unmeasurable
+    cell must not be rescued.
     """
     if candidate_name == SPIKY_CLASS:
         try:
@@ -180,7 +180,7 @@ def rescue_batch(
     # pursued.
     rare_base = np.isin(base, sorted(boosts.rare_indices))
     pursued = (candidate >= 0) & ~(rare_base & (candidate != base))
-    verifier = med_table.matrix[med_rows, np.maximum(candidate, 0)]
+    verifier = med_table.matrix[np.arange(len(base))[med_rows], np.maximum(candidate, 0)]
     verified = np.flatnonzero(pursued & (verifier >= config.tau)).tolist()
 
     def filter_row(row: int) -> DecisionTrace:

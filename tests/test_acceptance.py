@@ -405,7 +405,7 @@ def test_criterion_08_boost_factor_values():
 def pipeline_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     paths = build_corpus(root, n_common=300, n_rare_each=50, n_decoys_each=50)
-    truth = dict(read_label_csv(paths.truth, LABELS))
+    truth = dict(zip(*read_label_csv(paths.truth, LABELS)))
     source = DirectorySampleSource(paths.images, paths.masks)
     vectors = [
         morph_vector(source(image_id))

@@ -40,7 +40,7 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     paths = build_corpus(root, n_common=20, n_rare_each=6, n_decoys_each=3)
     labels = default_label_set()
-    truth = dict(read_label_csv(paths.truth, labels))
+    truth = dict(zip(*read_label_csv(paths.truth, labels)))
     pc = labels.index_of("PC")
     source = DirectorySampleSource(paths.images, paths.masks)
     vectors = [
@@ -157,8 +157,8 @@ def test_rescue_end_to_end(corpus, tmp_path):
     trace = tmp_path / "trace.csv"
     assert run(_rescue_args(paths, gate_path, config_path, out, trace)) == 0
     labels = default_label_set()
-    predictions = dict(read_label_csv(out, labels))
-    truth = dict(read_label_csv(paths.truth, labels))
+    predictions = dict(zip(*read_label_csv(out, labels)))
+    truth = dict(zip(*read_label_csv(paths.truth, labels)))
     ply, pc = labels.index_of("PLY"), labels.index_of("PC")
     rescued_rare = sum(
         1 for image_id, label in truth.items()
@@ -184,8 +184,8 @@ def test_rescue_without_image_dirs_fails_at_phase3(corpus, tmp_path, capsys):
     assert not (tmp_path / "pred.csv").exists()
     assert run(args + ["--skip-missing"]) == 0
     labels = default_label_set()
-    predictions = dict(read_label_csv(tmp_path / "pred.csv", labels))
-    truth = dict(read_label_csv(paths.truth, labels))
+    predictions = dict(zip(*read_label_csv(tmp_path / "pred.csv", labels)))
+    truth = dict(zip(*read_label_csv(paths.truth, labels)))
     ply = labels.index_of("PLY")
     assert all(
         predictions[image_id] != ply

@@ -15,6 +15,7 @@ from wbcrescue.core import (
     RescueConfig,
     ValidationError,
     default_label_set,
+    join_ids,
     load_label_file,
     normalize_probs,
     parse_config_file,
@@ -373,3 +374,47 @@ def test_phase_tags_are_stable_strings():
         "FailedMorphology",
         "Rescued",
     ]
+
+
+def _join_ids_reference(ids, other, missing, extra):
+    """The former `join_ids`: a dict over `other` for every pair of lists."""
+    index = dict(zip(other, range(len(other))))
+    rows = [index.get(image_id, -1) for image_id in ids]
+    if -1 in rows:
+        message, odd = missing, {image_id for image_id, row in zip(ids, rows) if row < 0}
+    elif len(index) > len(rows):
+        message, odd = extra, index.keys() - ids
+    else:
+        return rows
+    names = sorted(odd)
+    raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
+
+
+def _join_outcome(join, ids, other):
+    """The rows of `other` in `ids` order as a list, or the error message."""
+    try:
+        rows = join(ids, other, "missing", "extra")
+    except ValidationError as exc:
+        return str(exc)
+    return np.arange(len(other))[rows].tolist()
+
+
+@given(st.lists(st.text(max_size=3), unique=True, max_size=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_join_ids_matches_the_dict_join(ids, data):
+    """The same rows or error as a dict over `other`, whether `other` lists
+    the same ids in the same order, in another order, or not the same ids."""
+    other = data.draw(st.one_of(
+        st.just(list(ids)),
+        st.permutations(ids),
+        st.lists(st.sampled_from(ids + ["x", "y"]), unique=True) if ids else st.just(["x"]),
+    ))
+    assert _join_outcome(join_ids, tuple(ids), other) == \
+        _join_outcome(_join_ids_reference, tuple(ids), other)
+
+
+def test_join_ids_of_equal_lists_is_a_slice_that_gathers_nothing():
+    assert join_ids(("a", "b"), ["a", "b"], "missing", "extra") == slice(None)
+    matrix = np.arange(4.0).reshape(2, 2)
+    assert np.shares_memory(matrix[join_ids(("a", "b"), ("a", "b"), "", "")], matrix)
+    assert join_ids(("a", "b"), ("b", "a"), "missing", "extra") == [1, 0]

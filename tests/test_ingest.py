@@ -1,16 +1,17 @@
 import csv
 import re
+import warnings
 from operator import attrgetter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import (ENTRY_EPSILON, PLAIN_NUMBER, SUM_DELTA, LabelSet, ValidationError,
-                            read_csv)
+from wbcrescue.core import (ENTRY_EPSILON, PLAIN_KEY_BYTES, SUM_DELTA, LabelSet,
+                            ValidationError, read_csv, read_plain_csv)
 from wbcrescue.ingest import (
     CellSample,
     DirectorySampleSource,
@@ -23,7 +24,6 @@ from wbcrescue.ingest import (
     parse_class_counts,
     parse_prob_table,
     write_prob_table,
-    _load_plain_matrix,
 )
 from wbcrescue.netpbm import read_pnm, write_pnm
 
@@ -436,24 +436,55 @@ def _prob_csv(draw):
     return LabelSet([f"C{i}" for i in range(k)]), text
 
 
+_WIDTH = PLAIN_KEY_BYTES
+
+
+def _two(text):
+    return LabelSet(["C0", "C1"]), "image_id,C0,C1\n" + text
+
+
 @given(_prob_csv())
-# A cell too many, which `loadtxt` would drop, and a field one character over
-# the `csv` size limit.
-@example((LabelSet(["C0", "C1"]), "image_id,C0,C1\na,0.5,0.5,0\n"))
-@example((LabelSet(["C0", "C1"]), f"image_id,C0,C1\na,{'1'.zfill(csv.field_size_limit() + 1)},0\n"))
+# A cell too many, which `usecols` would drop, and one example for each check
+# on the bytes of a plain file: a blank line, a space-only line, an empty id,
+# ids one under, at and one over the key width, characters that some
+# readers split on or strip inside an id, a bare `\r`, a field at and one
+# character over the `csv` size limit, and no final line end.
+@example(_two("a,0.5,0.5,0\n"))
+@example(_two("a,0.5,0.5\n\nb,0.5,0.5\n"))
+@example(_two("a,0.5,0.5\r\n\r\n"))
+@example(_two("a,0.5,0.5\n \nb,0.5,0.5\n"))
+@example(_two(",0.5,0.5\nb,0.5,0.5\n"))
+@example(_two(f"{'i' * (_WIDTH - 1)},0.5,0.5\n"))
+@example(_two(f"{'i' * _WIDTH},0.5,0.5\n"))
+@example(_two(f"{'i' * (_WIDTH + 1)},0.5,0.5\n"))
+@example(_two(f"{'i' * (_WIDTH + 1)},0.5,0.5\n{'i' * _WIDTH},0.5,0.5\n"))
+@example(_two("a\x0bb,0.5,0.5\nc\x0c,0.5,0.5\n"))
+@example(_two("a\x1cb,0.5,0.5\nc,0.5,0.5\n"))
+@example(_two("a,\x1c0.5,0.5\n"))
+@example(_two("a\x85b,0.5,0.5\n\u2028,0.5,0.5\n"))
+@example(_two("a b,0.5,0.5\n c ,0.5,0.5\n"))
+@example(_two("a,0.5,0.5\rb,0.5,0.5\n"))
+@example(_two(f"a,{'1'.zfill(csv.field_size_limit())},0\n"))
+@example(_two(f"a,{'1'.zfill(csv.field_size_limit() + 1)},0\n"))
+@example(_two("a,0.5,0.5\nb,0.25,0.75"))
+@example(_two("\n\r\n"))
+# A name holding a comma, in a header that does not quote it.
+@example((LabelSet(["a,b", "C1"]), "image_id,a,b,C1\nx,0.5,0.5\n"))
 @settings(max_examples=500, deadline=None)
 def test_parse_prob_table_matches_row_reference(tmp_path_factory, inputs):
     label_set, text = inputs
     path = tmp_path_factory.mktemp("prob") / "p.csv"
     path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     expected = _parse_outcome(_parse_prob_table_rows_reference, path, label_set)
-    assert _parse_outcome(parse_prob_table, path, label_set) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # `loadtxt` warns when it reads no row
+        assert _parse_outcome(parse_prob_table, path, label_set) == expected
 
 
 @given(
     k=st.integers(min_value=2, max_value=13),
     ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
-                                       blacklist_characters=',"\r\n\x00'),
+                                       blacklist_characters=',"\r\n\x00\x1c\x1d\x1e\x1f'),
                          min_size=1, max_size=6),
                  min_size=1, max_size=8, unique=True),
     terminator=st.sampled_from(["\n", "\r\n"]),
@@ -482,30 +513,64 @@ _SPELLINGS = st.one_of(
 )
 
 
+# Every character a plain file may hold in a cell.
+_CELL_CHARACTERS = st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters=',"\r\n\x00\x1c\x1d\x1e\x1f')
+# The characters that `float()` or `loadtxt` may strip or read as a digit.
+_SPACES_AND_DIGITS = [chr(code) for code in range(0x110000)
+                      if chr(code).isspace() or chr(code).isdigit() or chr(code) == "_"]
+
+
 @given(st.one_of(
     st.text(alphabet="-+0123456789.eE", min_size=1, max_size=30),
     _SPELLINGS,
-    # A number with one character added that the cell class leaves out;
-    # `float()` accepts some of these (`1_0`, `٣`) where `loadtxt` does not.
-    st.tuples(_SPELLINGS, st.sampled_from(["_", "٣", "１", " ", "\t", "i", "n", "x", "\x0c"]),
-              st.integers(1, 30)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+    st.text(_CELL_CHARACTERS, min_size=1, max_size=30),
+    # A number with a character or two added: one that may be stripped or
+    # read as a digit, or any other one a plain cell may hold.
+    st.tuples(_SPELLINGS,
+              st.one_of(st.sampled_from(_SPACES_AND_DIGITS),
+                        st.text(_CELL_CHARACTERS, min_size=1, max_size=2)),
+              st.integers(0, 30)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
 ))
 @example("1_0")
 @example("٣")
+@example("\xa00.5")
+@example("0.5\x85")
+@example("\u30000.5\u2028")
+@example("1e400")
+@example("nan")
 @settings(max_examples=500, deadline=None)
 def test_loadtxt_reads_plain_number_cells_as_float_does(tmp_path_factory, cell):
-    assume(re.fullmatch(PLAIN_NUMBER, cell))
+    """The bulk path accepts no cell that `float()` reads differently, and
+    it reads or rejects a cell of `[-+0-9.eE]` alone as `float()` does. It
+    may reject a cell with any other character, which only sends the file to
+    the row reader."""
     path = tmp_path_factory.mktemp("cell") / "c.csv"
     path.write_text(f"image_id,C0\nx,{cell}\n", encoding="utf-8", newline="")
+    plain = read_plain_csv(path, ["image_id", "C0"], "f8")
     try:
         expected = np.float64(float(cell)).tobytes()
     except ValueError:
         expected = "rejected"
-    try:
-        actual = _load_plain_matrix(path, 1)[0, 0].tobytes()
-    except ValueError:
-        actual = "rejected"
-    assert actual == expected
+    actual = "rejected" if plain is None else plain[1][0, 0].tobytes()
+    if re.fullmatch("[-+0-9.eE]+", cell):
+        assert actual == expected
+    else:
+        assert actual in ("rejected", expected)
+
+
+def test_plain_cells_around_each_space_or_digit_character_read_as_float_does(tmp_path):
+    """Exhaustive over the characters that `float()` or `loadtxt` may strip
+    or read as a digit, line breaks aside: alone, before and after a number,
+    the bulk path accepts none that `float()` reads differently."""
+    cells = [cell for char in _SPACES_AND_DIGITS if char not in "\r\n"
+             for cell in (char, char + "0.5", "0.5" + char)]
+    for cell in cells:
+        path = tmp_path / "c.csv"
+        path.write_text(f"image_id,C0\nx,{cell}\n", encoding="utf-8", newline="")
+        plain = read_plain_csv(path, ["image_id", "C0"], "f8")
+        if plain is not None:
+            assert plain[1][0, 0].tobytes() == np.float64(float(cell)).tobytes(), repr(cell)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
+import csv
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wbcrescue.core import LabelSet, ValidationError
+from wbcrescue.core import PLAIN_KEY_BYTES, LabelSet, ValidationError
 from wbcrescue.metrics import (
     build_confusion,
     compute_metrics,
@@ -306,7 +308,7 @@ def _label_csv(draw):
             lines.append("")
             continue
         if kind == "unknown":
-            label = draw(st.sampled_from(["", "sne", "LY ", "PC"]))
+            label = draw(st.sampled_from(["", "sne", "LY ", "PC", "SNEX", "a bc"]))
         elif kind == "no id":
             image_id = ""
         elif kind == "repeat":
@@ -324,6 +326,13 @@ def _label_csv(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _label_pairs(path, label_set):
+    """`read_label_csv` as the reference gives it: (id, class id) pairs."""
+    ids, labels = read_label_csv(path, label_set)
+    assert labels.dtype == np.int64
+    return list(zip(ids, labels.tolist()))
+
+
 def _label_outcome(read, path):
     try:
         return read(path, _LABELS)
@@ -331,13 +340,51 @@ def _label_outcome(read, path):
         return str(exc)
 
 
+_WIDTH = PLAIN_KEY_BYTES
+
+
 @given(_label_csv())
+# One example for each check on the bytes of a plain file: a blank line, a
+# space-only line, an empty id, ids one under, at and one over the key
+# width, characters that some readers split on or strip inside an id, a bare
+# `\r`, a field over the `csv` size limit, and no final line end.
+@example("image_id,label\na,SNE\n\nb,LY\n")
+@example("image_id,label\na,SNE\r\n\r\nb,LY\r\n")
+@example("image_id,label\na,SNE\n \nb,LY\n")
+@example("image_id,label\n,SNE\nb,LY\n")
+@example(f"image_id,label\n{'i' * (_WIDTH - 1)},SNE\n")
+@example(f"image_id,label\n{'i' * _WIDTH},SNE\n")
+@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n")
+@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n{'i' * _WIDTH},LY\n")
+@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n{'i' * (_WIDTH + 1)},LY\n")
+@example("image_id,label\na\x0bb,SNE\nc\x0c,LY\n")
+@example("image_id,label\na\x1cb,SNE\n\x1f,LY\n")
+@example("image_id,label\na\x85b,SNE\n\u2028,LY\n")
+@example("image_id,label\na b,SNE\n c ,LY\n")
+@example("image_id,label\na,SNE\rb,LY\n")
+@example(f"image_id,label\n{'i' * csv.field_size_limit()},SNE\n")
+@example(f"image_id,label\n{'i' * (csv.field_size_limit() + 1)},SNE\n")
+@example("image_id,label\na,SNE\nb,LY")
+@example("image_id,label\n\n\r\n")
+# A label that starts with the longest name.
+@example("image_id,label\na,SNEX\n")
 @settings(max_examples=300, deadline=None)
 def test_read_label_csv_matches_the_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("labels") / "labels.csv"
     path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     expected = _label_outcome(reference.read_label_csv, path)
-    assert _label_outcome(read_label_csv, path) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # `loadtxt` warns when it reads no row
+        assert _label_outcome(_label_pairs, path) == expected
+
+
+def test_a_catalog_name_ending_in_nul_matches_no_plain_label(tmp_path):
+    labels = LabelSet(["A\x00", "B"])
+    path = tmp_path / "labels.csv"
+    path.write_text("image_id,label\nx,A\ny,B\n", encoding="utf-8")
+    message = f"{path}:2: unknown label 'A'"
+    assert _label_outcome(lambda p, _: reference.read_label_csv(p, labels), path) == message
+    assert _label_outcome(lambda p, _: _label_pairs(p, labels), path) == message
 
 
 def test_plain_label_files_are_read_in_bulk(tmp_path):
@@ -346,7 +393,7 @@ def test_plain_label_files_are_read_in_bulk(tmp_path):
     expected = reference.read_label_csv(path, _LABELS)
     with mock.patch("wbcrescue.metrics.read_keyed_csv",
                     side_effect=AssertionError("a plain file was read row by row")):
-        assert read_label_csv(path, _LABELS) == expected == [("img 1", 1), ("#é", 2), ("c", 0)]
+        assert _label_pairs(path, _LABELS) == expected == [("img 1", 1), ("#é", 2), ("c", 0)]
 
 
 def test_report_formatting_is_fixed_precision(tmp_path):

@@ -1388,6 +1388,8 @@ def test_gate_file_rejects_garbage(tmp_path):
     path = tmp_path / "pc.gate"
     for bad, message in (
         ({"mean": "1 2"}, "'mean' needs 3 values"),
+        ({"mean": "0 x 0"}, "bad numeric value (could not convert string to float: 'x')"),
+        ({"n": "30.5"}, "bad numeric value (invalid literal for int() with base 10: '30.5')"),
         ({"mean": "nan 0 0"}, "non-finite gate parameters"),
         ({"cov": "1 0.5 0 0 1 0 0 0 1"}, "covariance is not symmetric"),
         ({"ridge": "nan"}, "ridge must be finite and >= 0, got nan"),
@@ -1398,7 +1400,7 @@ def test_gate_file_rejects_garbage(tmp_path):
     ):
         entries = {"mean": "0 0 0", "cov": "1 0 0 0 1 0 0 0 1", "ridge": "0", "n": "30", **bad}
         path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
-        with pytest.raises(ValidationError, match=rf"pc\.gate: {message}"):
+        with pytest.raises(ValidationError, match=rf"pc\.gate: {re.escape(message)}"):
             load_gate(path)
 
 

@@ -15,7 +15,7 @@ from wbcrescue.core import (
     ValidationError,
     default_label_set,
 )
-from wbcrescue.ingest import ProbTable, SampleNotFoundError
+from wbcrescue.ingest import CellSample, ProbTable, SampleNotFoundError
 from wbcrescue.morphology import (
     GaussianGate,
     fit_gaussian_gate,
@@ -214,6 +214,18 @@ def test_phase3_unmeasurable_sample_fails_closed(gate):
     phase, score, distance, error = phase3_filter("PC", flat, gate, RescueConfig())
     assert (phase, score, distance) == (Phase.FAILED_MORPHOLOGY, None, None)
     assert "degenerate luminance" in error
+
+
+@pytest.mark.parametrize("levels", [[0.0, math.nan], [0.0, math.nan, 10.0],
+                                    [-math.inf, 0.0, 10.0], [0.0, 10.0, math.inf]])
+def test_phase3_denies_a_cell_of_non_finite_luminance(gate, levels):
+    pixels = np.repeat(np.array(levels)[None, :, None], 3, axis=2)
+    cell = CellSample("odd", pixels, np.ones((1, len(levels)), dtype=bool))
+    with pytest.raises(ValidationError, match="^odd: non-finite luminance$"):
+        morph_vector(cell)
+    phase, score, distance, error = phase3_filter("PC", cell, gate, RescueConfig())
+    assert (phase, score, distance, error) == (
+        Phase.FAILED_MORPHOLOGY, None, None, "odd: non-finite luminance")
 
 
 @pytest.mark.parametrize("make", [_spiky_sample, _round_sample])
