@@ -40,8 +40,7 @@ printf 'image_id,label\nb,LY\na,SNE\n' > truth-reordered.csv
 wbcrescue evaluate --pred pred.csv --truth truth-reordered.csv --labels labels.txt \
   --out report.txt --confusion confusion.csv
 printf 'true\\pred,SNE,LY\nSNE,1,0\nLY,0,1\n' | diff - confusion.csv
-# A 200-character id, longer than the bulk reader reads, goes through the
-# row reader and comes out byte for byte.
+# A 200-character id is read like any other and comes out byte for byte.
 long_id=$(python3 -c 'print("x" * 200)')
 printf 'image_id,SNE,LY\n%s,0.25,0.75\nb,0.5,0.5\n' "$long_id" > long1.csv
 printf 'image_id,SNE,LY\nb,1,0\n%s,0.75,0.25\n' "$long_id" > long2.csv
@@ -53,6 +52,13 @@ printf 'image_id,label\na,SNE\n\nb,SNE\n' > truth-blank.csv
 wbcrescue evaluate --pred pred.csv --truth truth.csv --out report-plain.txt
 wbcrescue evaluate --pred pred.csv --truth truth-blank.csv --out report-blank.txt
 diff report-plain.txt report-blank.txt
+# A 40-character non-ASCII id (100 UTF-8 bytes) in both label files, in
+# another row order in each, gives the same report as the id `a`.
+wide_id=$(python3 -c 'import sys; sys.stdout.buffer.write(("\u00e9" * 20 + "\u7d30" * 20).encode())')
+printf 'image_id,label\n%s,SNE\nb,LY\n' "$wide_id" > pred-wide.csv
+printf 'image_id,label\nb,SNE\n%s,SNE\n' "$wide_id" > truth-wide.csv
+wbcrescue evaluate --pred pred-wide.csv --truth truth-wide.csv --out report-wide.txt
+diff report-plain.txt report-wide.txt
 # A plain table with a bad row exits 1, naming the file and line, and
 # writes nothing.
 printf 'image_id,SNE,LY\na,0.5,0.5\nb,0.5,0.4\n' > bad-row.csv

@@ -157,22 +157,18 @@ def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-# Keys of a plain CSV file are read in bulk when shorter than this many
-# UTF-8 bytes: `np.loadtxt` cuts a longer field to its width silently.
-PLAIN_KEY_BYTES = 32
-# Bytes that no plain file holds: a quote; NUL, which `loadtxt` drops from
-# the end of a text field; \x1c-\x1f, which `loadtxt` strips from a number
-# and `float()` does not.
+# Bytes that no plain file holds: a quote; NUL, on which `csv` raises before
+# Python 3.11; \x1c-\x1f, which `loadtxt` strips from a number and `float()`
+# does not.
 _NOT_PLAIN_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def read_plain_csv(path, header: Sequence[str],
-                   cell: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+                   cell: str | type) -> tuple[tuple[str, ...], np.ndarray] | None:
     r"""The keys and the (N, len(header) - 1) other cells of a plain CSV
-    file, each cell read as the NumPy type `cell` by one `np.loadtxt` call;
-    None for any other file, which its readers then read with
-    `read_keyed_csv`. A text `cell` type holds each cell's UTF-8 bytes, cut
-    to its width.
+    file, each cell read as the NumPy type `cell` (`object` for `str`) by
+    one `np.loadtxt` call; None for any other file, which its readers then
+    read with `read_keyed_csv`.
 
     A plain file reads the same under `read_keyed_csv` and `loadtxt`:
     - strict UTF-8 and the exact header line, with no `,` in a name;
@@ -181,26 +177,22 @@ def read_plain_csv(path, header: Sequence[str],
     - at least one row, each with exactly one field per header column
       (`loadtxt` rejects any other count) and each cell one that `loadtxt`
       reads as `cell`;
-    - keys non-empty, unique and shorter than PLAIN_KEY_BYTES, so that none
-      was cut;
+    - keys non-empty and unique;
     - no line longer than `csv.field_size_limit()`.
     """
     if not _plain_bytes(path, header):
         return None
-    dtype = np.dtype([("key", f"S{PLAIN_KEY_BYTES}"), ("cells", cell, (len(header) - 1,))])
-    # Each byte is read as the Latin-1 character of that code, so a text field
-    # holds the bytes of the file. The file is passed open, in binary: given
-    # a path, `loadtxt` would read a file named `*.gz` or `*.bz2` as
-    # compressed, and a binary file ends its lines only at `\n`.
+    dtype = np.dtype([("key", object), ("cells", cell, (len(header) - 1,))])
+    # The file is passed open, in binary: given a path, `loadtxt` would read
+    # a file named `*.gz` or `*.bz2` as compressed, and a binary file ends
+    # its lines only at `\n`.
     with open(path, "rb") as handle:
         try:
             rows = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                              ndmin=1, encoding="latin-1")
-        except ValueError:  # a field count or a cell that it rejects
+                              ndmin=1, encoding="utf-8")
+        except ValueError:  # a field count, a cell that it rejects, or not UTF-8
             return None
-    if np.char.str_len(rows["key"]).max() >= PLAIN_KEY_BYTES:
-        return None
-    keys = tuple([key.decode() for key in rows["key"].tolist()])
+    keys = tuple(rows["key"].tolist())
     if "" in keys or len(set(keys)) < len(keys):
         return None
     return keys, rows["cells"]
@@ -208,8 +200,8 @@ def read_plain_csv(path, header: Sequence[str],
 
 def _plain_bytes(path, header: Sequence[str]) -> bool:
     """Whether a file holds the bytes a plain CSV file may hold
-    (`read_plain_csv`), with a line after the header. The file is read a
-    chunk at a time, never whole."""
+    (`read_plain_csv`), UTF-8 aside, with a line after the header. The file
+    is read a chunk at a time, never whole."""
     head = ",".join(header).encode("utf-8")
     if head.count(b",") != len(header) - 1:
         return False
@@ -219,17 +211,12 @@ def _plain_bytes(path, header: Sequence[str]) -> bool:
         if handle.readline() not in {head + b"\n", head + b"\r\n"}:
             return False
         handle.seek(0)
-        # Each chunk ends at a line end, or at the end of the file, so no
-        # UTF-8 sequence spans two chunks.
+        # Each chunk ends at a line end, or at the end of the file, so no line
+        # spans two chunks.
         while chunk := handle.read(1 << 20) + handle.readline():
             if any(byte in chunk for byte in _NOT_PLAIN_BYTES) or (
                     b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
                 return False
-            if not chunk.isascii():
-                try:
-                    chunk.decode("utf-8")
-                except UnicodeDecodeError:
-                    return False
             ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
             # Bytes per line, its `\n` included; the last is a line without
             # one, 0 when the chunk ends in `\n`. A line of 2 bytes or fewer

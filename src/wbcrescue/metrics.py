@@ -96,17 +96,13 @@ def read_label_csv(path, label_set: LabelSet) -> tuple[tuple[str, ...], np.ndarr
     plain file (`core.read_plain_csv`) whose labels are all in the catalog
     is read in bulk; any other is read by the row reader, so every error is
     the row reader's."""
-    names = np.array([name.encode("utf-8") for name in label_set.names])
-    # A label longer than every name is cut to one byte more, and matches none.
-    plain = read_plain_csv(path, ["image_id", "label"], f"S{names.itemsize + 1}")
-    # A plain file holds no NUL, so no label matches a name that holds one;
-    # a bytes array would drop it from the end of the name.
-    if plain is not None and not any("\x00" in name for name in label_set.names):
-        ids, labels = plain[0], plain[1][:, 0]
-        order = np.argsort(names)
-        class_ids = order[np.searchsorted(names, labels, sorter=order).clip(max=len(names) - 1)]
-        if (names[class_ids] == labels).all():
-            return ids, class_ids
+    plain = read_plain_csv(path, ["image_id", "label"], object)
+    if plain is not None:
+        index = dict(zip(label_set.names, range(len(label_set))))
+        class_ids = np.array([index.get(label, -1) for label in plain[1][:, 0].tolist()],
+                             dtype=np.int64)
+        if (class_ids >= 0).all():
+            return plain[0], class_ids
     return _read_label_rows(path, label_set)
 
 

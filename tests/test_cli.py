@@ -624,6 +624,11 @@ def test_threads_zero_means_auto(corpus, tmp_path, monkeypatch):
     assert pool_sizes == [3, 5]
 
 
+def test_threads_default_to_one():
+    args = cli.build_parser().parse_args(["evaluate", "--pred", "p", "--truth", "t", "--out", "o"])
+    assert args.threads == 1
+
+
 def test_negative_threads_is_usage_error(tmp_path, capsys):
     commands = (
         "rescue", "ensemble", "fit-pc-model", "calibrate-spikiness",

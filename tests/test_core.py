@@ -413,6 +413,14 @@ def test_join_ids_matches_the_dict_join(ids, data):
         _join_outcome(_join_ids_reference, tuple(ids), other)
 
 
+@pytest.mark.parametrize("count, suffix", [(5, ""), (6, "...")])
+def test_join_ids_names_five_odd_ids_and_marks_more(count, suffix):
+    ids = [f"i{n}" for n in range(count)]
+    with pytest.raises(ValidationError) as raised:
+        join_ids(ids, [], "missing", "extra")
+    assert str(raised.value) == f"missing {ids[:5]}{suffix}"
+
+
 def test_join_ids_of_equal_lists_is_a_slice_that_gathers_nothing():
     assert join_ids(("a", "b"), ["a", "b"], "missing", "extra") == slice(None)
     matrix = np.arange(4.0).reshape(2, 2)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import (ENTRY_EPSILON, PLAIN_KEY_BYTES, SUM_DELTA, LabelSet,
-                            ValidationError, read_csv, read_plain_csv)
+from wbcrescue.core import (ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, read_csv,
+                            read_plain_csv)
 from wbcrescue.ingest import (
     CellSample,
     DirectorySampleSource,
@@ -436,9 +436,6 @@ def _prob_csv(draw):
     return LabelSet([f"C{i}" for i in range(k)]), text
 
 
-_WIDTH = PLAIN_KEY_BYTES
-
-
 def _two(text):
     return LabelSet(["C0", "C1"]), "image_id,C0,C1\n" + text
 
@@ -446,24 +443,34 @@ def _two(text):
 @given(_prob_csv())
 # A cell too many, which `usecols` would drop, and one example for each check
 # on the bytes of a plain file: a blank line, a space-only line, an empty id,
-# ids one under, at and one over the key width, characters that some
-# readers split on or strip inside an id, a bare `\r`, a field at and one
-# character over the `csv` size limit, and no final line end.
+# ids of 31, 32, 33 and 40 bytes, which a fixed-width text field would cut,
+# characters that some readers split on or strip inside an id, a bare `\r`,
+# a field at and one character over the `csv` size limit, and no final line
+# end.
 @example(_two("a,0.5,0.5,0\n"))
 @example(_two("a,0.5,0.5\n\nb,0.5,0.5\n"))
 @example(_two("a,0.5,0.5\r\n\r\n"))
 @example(_two("a,0.5,0.5\n \nb,0.5,0.5\n"))
 @example(_two(",0.5,0.5\nb,0.5,0.5\n"))
-@example(_two(f"{'i' * (_WIDTH - 1)},0.5,0.5\n"))
-@example(_two(f"{'i' * _WIDTH},0.5,0.5\n"))
-@example(_two(f"{'i' * (_WIDTH + 1)},0.5,0.5\n"))
-@example(_two(f"{'i' * (_WIDTH + 1)},0.5,0.5\n{'i' * _WIDTH},0.5,0.5\n"))
+@example(_two(f"{'i' * 31},0.5,0.5\n"))
+@example(_two(f"{'i' * 32},0.5,0.5\n"))
+@example(_two(f"{'i' * 33},0.5,0.5\n"))
+@example(_two(f"{'i' * 33},0.5,0.5\n{'i' * 32},0.5,0.5\n"))
+@example(_two(f"{'i' * 40},0.5,0.5\n{'é' * 40},0.5,0.5\n"))
+@example(_two(f"{'i' * csv.field_size_limit()},0.5,0.5\n"))
 @example(_two("a\x0bb,0.5,0.5\nc\x0c,0.5,0.5\n"))
 @example(_two("a\x1cb,0.5,0.5\nc,0.5,0.5\n"))
 @example(_two("a,\x1c0.5,0.5\n"))
 @example(_two("a\x85b,0.5,0.5\n\u2028,0.5,0.5\n"))
 @example(_two("a b,0.5,0.5\n c ,0.5,0.5\n"))
 @example(_two("a,0.5,0.5\rb,0.5,0.5\n"))
+# UTF-8 that is overlong, a surrogate, truncated, out of range, and cut at
+# the end of the file.
+@example(_two("a\udcc0\udcaf,0.5,0.5\n"))
+@example(_two("a,0.5,0.5\nb\udced\udca0\udc80,0.5,0.5\n"))
+@example(_two("a\udce2\udc82,0.5,0.5\n"))
+@example(_two("a\udcf4\udc90\udc80\udc80,0.5,0.5\n"))
+@example(_two("a,0.5,0.5\udcc3"))
 @example(_two(f"a,{'1'.zfill(csv.field_size_limit())},0\n"))
 @example(_two(f"a,{'1'.zfill(csv.field_size_limit() + 1)},0\n"))
 @example(_two("a,0.5,0.5\nb,0.25,0.75"))
@@ -485,7 +492,7 @@ def test_parse_prob_table_matches_row_reference(tmp_path_factory, inputs):
     k=st.integers(min_value=2, max_value=13),
     ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
                                        blacklist_characters=',"\r\n\x00\x1c\x1d\x1e\x1f'),
-                         min_size=1, max_size=6),
+                         min_size=1, max_size=40),
                  min_size=1, max_size=8, unique=True),
     terminator=st.sampled_from(["\n", "\r\n"]),
     last=st.booleans(),
@@ -603,6 +610,21 @@ def test_plain_table_with_a_bad_row_names_it_without_the_row_reader(tmp_path, la
                     side_effect=AssertionError("a plain file was read row by row")) as rows_reader:
         assert _parse_outcome(parse_prob_table, path, labels2) == ("error", message)
     rows_reader.assert_not_called()
+
+
+@pytest.mark.parametrize("tail", ["\nx,0.5,0.4\n", "\r\nx,0.5,0.4\n", "x,0.5,0.5"],
+                         ids=["blank", "blank-crlf", "unterminated"])
+def test_the_line_that_starts_the_second_chunk_is_checked(tmp_path, labels2, tail):
+    """`_plain_bytes` reads 1 MiB and then to the line's end, so the first
+    chunk ends with the row that holds byte 2**20 and `tail` starts the
+    second: a blank line before a bad row, or one last row with no `\\n`."""
+    head = "image_id,SNE,LY\n"
+    rows = [f"r{row:09d},0.25,0.75\n" for row in range((2**20 - len(head)) // 21 + 1)]
+    path = tmp_path / "p.csv"
+    path.write_text(head + "".join(rows) + tail, encoding="utf-8", newline="")
+    assert len(head) + 21 * (len(rows) - 1) < 2**20 < len(head) + 21 * len(rows)
+    expected = _parse_outcome(_parse_prob_table_rows_reference, path, labels2)
+    assert _parse_outcome(parse_prob_table, path, labels2) == expected
 
 
 def test_a_header_that_needs_quoting_is_read_by_the_row_reader(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wbcrescue.core import PLAIN_KEY_BYTES, LabelSet, ValidationError
+from wbcrescue.core import LabelSet, ValidationError
 from wbcrescue.metrics import (
     build_confusion,
     compute_metrics,
@@ -340,23 +340,22 @@ def _label_outcome(read, path):
         return str(exc)
 
 
-_WIDTH = PLAIN_KEY_BYTES
-
-
 @given(_label_csv())
 # One example for each check on the bytes of a plain file: a blank line, a
-# space-only line, an empty id, ids one under, at and one over the key
-# width, characters that some readers split on or strip inside an id, a bare
-# `\r`, a field over the `csv` size limit, and no final line end.
+# space-only line, an empty id, ids of 31, 32, 33 and 40 bytes, which a
+# fixed-width text field would cut, characters that some readers split on or
+# strip inside an id, a bare `\r`, an id at and one character over the `csv`
+# size limit, and no final line end.
 @example("image_id,label\na,SNE\n\nb,LY\n")
 @example("image_id,label\na,SNE\r\n\r\nb,LY\r\n")
 @example("image_id,label\na,SNE\n \nb,LY\n")
 @example("image_id,label\n,SNE\nb,LY\n")
-@example(f"image_id,label\n{'i' * (_WIDTH - 1)},SNE\n")
-@example(f"image_id,label\n{'i' * _WIDTH},SNE\n")
-@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n")
-@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n{'i' * _WIDTH},LY\n")
-@example(f"image_id,label\n{'i' * (_WIDTH + 1)},SNE\n{'i' * (_WIDTH + 1)},LY\n")
+@example(f"image_id,label\n{'i' * 31},SNE\n")
+@example(f"image_id,label\n{'i' * 32},SNE\n")
+@example(f"image_id,label\n{'i' * 33},SNE\n")
+@example(f"image_id,label\n{'i' * 33},SNE\n{'i' * 32},LY\n")
+@example(f"image_id,label\n{'i' * 33},SNE\n{'i' * 33},LY\n")
+@example(f"image_id,label\n{'i' * 40},SNE\n{'é' * 40},LY\n")
 @example("image_id,label\na\x0bb,SNE\nc\x0c,LY\n")
 @example("image_id,label\na\x1cb,SNE\n\x1f,LY\n")
 @example("image_id,label\na\x85b,SNE\n\u2028,LY\n")
@@ -387,13 +386,35 @@ def test_a_catalog_name_ending_in_nul_matches_no_plain_label(tmp_path):
     assert _label_outcome(lambda p, _: _label_pairs(p, labels), path) == message
 
 
-def test_plain_label_files_are_read_in_bulk(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_bytes(b"image_id,label\r\nimg 1,LY\r\n#\xc3\xa9,a b\r\nc,SNE")
-    expected = reference.read_label_csv(path, _LABELS)
+# Every character a plain file may hold in a field.
+_PLAIN_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters=',"\r\n\x00\x1c\x1d\x1e\x1f'),
+                      min_size=1, max_size=40)
+
+
+@given(
+    names=st.lists(_PLAIN_TEXT, min_size=2, max_size=13, unique=True),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+    last=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_plain_label_files_are_read_in_bulk(tmp_path_factory, names, terminator, last, data):
+    """A plain file that holds every name of the catalog, the last-sorted one
+    included, is read without the row reader, whatever its ids' lengths."""
+    label_set = LabelSet(names)
+    labels = data.draw(st.permutations(names + data.draw(st.lists(st.sampled_from(names),
+                                                                  max_size=8))))
+    ids = data.draw(st.lists(_PLAIN_TEXT, min_size=len(labels), max_size=len(labels),
+                             unique=True))
+    lines = ["image_id,label", *(f"{image_id},{label}" for image_id, label in zip(ids, labels))]
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_text(terminator.join(lines) + (terminator if last else ""), encoding="utf-8",
+                    newline="")
+    expected = reference.read_label_csv(path, label_set)
     with mock.patch("wbcrescue.metrics.read_keyed_csv",
                     side_effect=AssertionError("a plain file was read row by row")):
-        assert _label_pairs(path, _LABELS) == expected == [("img 1", 1), ("#é", 2), ("c", 0)]
+        assert _label_pairs(path, label_set) == expected
 
 
 def test_report_formatting_is_fixed_precision(tmp_path):

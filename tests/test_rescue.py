@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -510,6 +511,18 @@ def test_batch_equals_sequential_application(gate):
         _oracle(image_id, p_swin, med.matrix[med.ids.index(image_id)], source, boosts, gate, config)
         for image_id, p_swin in zip(swin.ids, swin.matrix)
     ]
+
+
+def test_parallel_map_runs_items_on_threads_at_once():
+    # Each call waits for the other, so one thread alone would time out.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def meet(item):
+        barrier.wait()
+        return threading.get_ident(), item
+
+    (first, a), (second, b) = parallel_map(meet, ["a", "b"], 2)
+    assert first != second and (a, b) == ("a", "b")
 
 
 def test_batch_is_deterministic_across_threads(gate):
