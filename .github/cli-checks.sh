@@ -36,6 +36,14 @@ printf 'image_id,SNE,LY\n"a,b",0.25,0.75\n"q""x",0.5,0.5\n' > quoted1.csv
 printf 'image_id,SNE,LY\n"q""x",1,0\n"a,b",0.75,0.25\n' > quoted2.csv
 wbcrescue ensemble quoted1.csv quoted2.csv --labels labels.txt --out quoted-mean.csv
 printf 'image_id,SNE,LY\n"a,b",0.5,0.5\n"q""x",0.75,0.25\n' | diff - quoted-mean.csv
+# The mean of two 2049-row folds crosses two of the table writer's
+# 1024-row chunk edges. Every value is a multiple of 2^-12, so each
+# mean is exact.
+python3 -c 'import sys; sys.stdout.write("image_id,SNE,LY\n" + "".join(f"r{i:04d},{i / 4096!r},{1 - i / 4096!r}\n" for i in range(2049)))' > big1.csv
+python3 -c 'import sys; sys.stdout.write("image_id,SNE,LY\n" + "".join(f"r{i:04d},{i * i % 4096 / 4096!r},{1 - i * i % 4096 / 4096!r}\n" for i in range(2048, -1, -1)))' > big2.csv
+wbcrescue ensemble big1.csv big2.csv --labels labels.txt --out big-mean.csv
+python3 -c 'import sys; sys.stdout.write("image_id,SNE,LY\n" + "".join("r%04d,%.12g,%.12g\n" % (i, m, 1 - m) for i in range(2049) for m in [(i + i * i % 4096) / 8192]))' \
+  | diff - big-mean.csv
 printf 'image_id,label\nb,LY\na,SNE\n' > truth-reordered.csv
 wbcrescue evaluate --pred pred.csv --truth truth-reordered.csv --labels labels.txt \
   --out report.txt --confusion confusion.csv
@@ -82,6 +90,16 @@ wbcrescue rescue --swin swin.csv --med med.csv --counts counts.csv --labels rare
 printf 'image_id,label\na,SNE\nb,LY\nc,LY\n' | diff - rescued.csv
 printf 'image_id,base,candidate,phase,spikiness,mahalanobis,final\na,SNE,,NoCandidate,,,SNE\nb,LY,PLY,FailedSemantic,,,LY\nc,LY,PLY,FailedMorphology,,,LY\n' \
   | diff - trace.csv
+# Ids that need quoting come out of rescue as they went in: "a,b" has
+# no rare candidate, and "q""x" reaches the shape filters and is denied
+# as a missing sample.
+printf 'image_id,SNE,LY,PLY,PC\n"a,b",0.75,0.125,0.0625,0.0625\n"q""x",0.125,0.5,0.25,0.125\n' > swin-quoted.csv
+printf 'image_id,SNE,LY,PLY,PC\n"a,b",0.75,0.125,0.0625,0.0625\n"q""x",0.125,0.125,0.75,0\n' > med-quoted.csv
+wbcrescue rescue --swin swin-quoted.csv --med med-quoted.csv --counts counts.csv \
+  --labels rare-labels.txt --skip-missing --out rescued-quoted.csv --trace trace-quoted.csv
+printf 'image_id,label\n"a,b",SNE\n"q""x",LY\n' | diff - rescued-quoted.csv
+printf 'image_id,base,candidate,phase,spikiness,mahalanobis,final\n"a,b",SNE,,NoCandidate,,,SNE\n"q""x",LY,PLY,FailedMorphology,,,LY\n' \
+  | diff - trace-quoted.csv
 # A gate file with a key the format does not define exits 1, naming the
 # line, and writes no predictions.
 printf 'mean = 0 0 0\ncov = 1 0 0 0 1 0 0 0 1\nridge = 0\nn = 30\nbogus = 1 2 3\n' > bad.gate

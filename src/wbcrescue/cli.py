@@ -55,7 +55,7 @@ from .morphology import (
     write_features_csv,
 )
 from .noise import check_salt_pepper_rates, inject_salt_pepper, noise_score
-from .rescue import parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
+from .rescue import PHASES, parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
 
 # glibc's mallopt(3) parameters and the values run() gives them. A freed
 # block below the mmap threshold stays in the heap, and the heap's top is
@@ -160,23 +160,15 @@ def _cmd_rescue(args) -> int:
         source = DirectorySampleSource(args.images, args.masks)
     else:
         source = _no_sample_dirs
-    traces = rescue_batch(
-        swin,
-        med,
-        source,
-        counts,
-        gate,
-        config,
-        skip_missing=args.skip_missing,
-        threads=args.threads,
-    )
-    rescued = sum(1 for t in traces if t.phase_reached is Phase.RESCUED)
-    _info(args, f"decided {len(traces)} images, rescued {rescued}")
+    decisions = rescue_batch(swin, med, source, counts, gate, config,
+                             skip_missing=args.skip_missing, threads=args.threads)
+    rescued = (decisions.phase == PHASES.index(Phase.RESCUED)).sum()
+    _info(args, f"decided {len(decisions)} images, rescued {rescued}")
     with _atomic(args.out) as tmp:
-        write_predictions_csv(tmp, traces, label_set)
+        write_predictions_csv(tmp, decisions, label_set)
     if args.trace:
         with _atomic(args.trace) as tmp:
-            write_trace_csv(tmp, traces, label_set)
+            write_trace_csv(tmp, decisions, label_set)
     return 0
 
 

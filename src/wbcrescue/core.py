@@ -264,23 +264,39 @@ def join_ids(ids: Sequence[str], other: Sequence[str], missing: str,
     raise ValidationError(f"{message} {names[:5]}" + ("..." if len(names) > 5 else ""))
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def csv_field(value: object) -> str:
     r"""`str(value)` as one CSV field: quoted, with each `"` doubled, when it
     holds `,`, `"`, `\r` or `\n`. This is `csv.writer`'s minimal quoting with a
     `\r\n` terminator, stated here so that every Python writes the same bytes
     (before 3.13, `csv` quotes only the terminator's characters)."""
     text = str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
+    if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def csv_column(values: Sequence[str]) -> Sequence[str]:
+    """`[csv_field(v) for v in values]`, or `values` when none needs quoting."""
+    if _NEEDS_QUOTES.search("".join(values)):
+        return [csv_field(value) for value in values]
+    return values
+
+
 def write_csv_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
-    r"""Write UTF-8 CSV: the header, then `lines`, each one row already
-    rendered with `csv_field` and ending in `\n`."""
+    r"""Write UTF-8 CSV: the header, then `lines`, each one or more rows
+    already rendered with `csv_field`, every row ending in `\n`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(_csv_row(header))
         handle.writelines(lines)
+
+
+def write_csv_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write UTF-8 CSV: the header, then the fields `columns[j][i]` of row i."""
+    rows = "\n".join(map(",".join, zip(*columns)))
+    write_csv_lines(path, header, [rows, "\n"] if len(columns[0]) else [])
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -8,6 +8,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .core import (
     Phase,
     RescueConfig,
     ValidationError,
-    csv_field,
+    csv_column,
     join_ids,
-    write_csv_lines,
+    write_csv_columns,
 )
 from .ingest import CellSample, ProbTable, SampleNotFoundError, SampleSource
 from .morphology import (
@@ -150,6 +151,41 @@ def parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+PHASES = tuple(Phase)
+
+
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """A batch's decisions as columns in table order: the image `ids`, the
+    `base` label, the `candidate` pursued (-1 where none is) and the `phase`
+    reached (int8, a position in `PHASES`). `outcomes` maps each row that
+    reached the shape filters to its `(spikiness, mahalanobis, error)`.
+    Indexing and iteration read row i as its `DecisionTrace`."""
+
+    ids: Sequence[str]
+    base: np.ndarray
+    candidate: np.ndarray
+    phase: np.ndarray
+    outcomes: Mapping[int, tuple[float | None, float | None, str | None]]
+
+    @property
+    def final(self) -> np.ndarray:
+        """The candidate where the row was rescued, else the base label."""
+        return np.where(self.phase == PHASES.index(Phase.RESCUED), self.candidate, self.base)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> DecisionTrace:
+        row = range(len(self.ids))[row]
+        candidate = int(self.candidate[row])
+        return DecisionTrace(self.ids[row], int(self.base[row]), None if candidate < 0 else candidate,
+                             PHASES[self.phase[row]], *self.outcomes.get(row, ()))
+
+    def __iter__(self) -> Iterator[DecisionTrace]:
+        return map(self.__getitem__, range(len(self.ids)))
+
+
 def rescue_batch(
     swin_table: ProbTable,
     med_table: ProbTable,
@@ -160,7 +196,7 @@ def rescue_batch(
     *,
     skip_missing: bool = False,
     threads: int = 1,
-) -> list[DecisionTrace]:
+) -> Decisions:
     """Decide every image in the primary table, in table order.
 
     Phases 1 and 2 run on the whole probability matrix at once. Only the
@@ -183,54 +219,42 @@ def rescue_batch(
     verifier = med_table.matrix[np.arange(len(base))[med_rows], np.maximum(candidate, 0)]
     verified = np.flatnonzero(pursued & (verifier >= config.tau)).tolist()
 
-    def filter_row(row: int) -> DecisionTrace:
-        image_id = swin_table.ids[row]
-        row_candidate = int(candidate[row])
+    def filter_row(row: int) -> tuple[Phase, float | None, float | None, str | None]:
         try:
-            sample = sample_source(image_id)
+            sample = sample_source(swin_table.ids[row])
         except SampleNotFoundError as exc:
             if not skip_missing:
                 raise
-            outcome = _denial(exc)
-        else:
-            outcome = phase3_filter(label_set.name_at(row_candidate), sample, gate, config)
-        return DecisionTrace(image_id, int(base[row]), row_candidate, *outcome)
+            return _denial(exc)
+        return phase3_filter(label_set.name_at(int(candidate[row])), sample, gate, config)
 
-    traces = [
-        DecisionTrace(image_id, b, c, Phase.FAILED_SEMANTIC)
-        if p
-        else DecisionTrace(image_id, b, None, Phase.NO_CANDIDATE)
-        for image_id, b, c, p in zip(
-            swin_table.ids, base.tolist(), candidate.tolist(), pursued.tolist()
-        )
-    ]
-    for row, trace in zip(verified, parallel_map(filter_row, verified, threads)):
-        traces[row] = trace
-    return traces
+    phase = np.where(pursued, PHASES.index(Phase.FAILED_SEMANTIC),
+                     PHASES.index(Phase.NO_CANDIDATE)).astype(np.int8)
+    outcomes = parallel_map(filter_row, verified, threads)
+    phase[verified] = [PHASES.index(outcome[0]) for outcome in outcomes]
+    return Decisions(swin_table.ids, base, np.where(pursued, candidate, -1), phase,
+                     {row: outcome[1:] for row, outcome in zip(verified, outcomes)})
 
 
-def write_predictions_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
-    names = [csv_field(name) for name in label_set.names]
-    write_csv_lines(
-        path,
-        ["image_id", "label"],
-        (f"{csv_field(trace.image_id)},{names[trace.final_label]}\n" for trace in traces),
-    )
+def write_predictions_csv(path, decisions: Decisions, label_set: LabelSet) -> None:
+    names = np.array(csv_column(label_set.names), dtype=object)
+    write_csv_columns(path, ["image_id", "label"],
+                      [csv_column(decisions.ids), names[decisions.final].tolist()])
 
 
-def write_trace_csv(path, traces: list[DecisionTrace], label_set: LabelSet) -> None:
+def write_trace_csv(path, decisions: Decisions, label_set: LabelSet) -> None:
     """Audit CSV; fields the pipeline never evaluated stay empty."""
-    names = [csv_field(name) for name in label_set.names]
-    write_csv_lines(
+    # Each name quoted once, and "" last, where a candidate of -1 reads.
+    names = np.array([*csv_column(label_set.names), ""], dtype=object)
+    base, candidate, final = names[[decisions.base, decisions.candidate, decisions.final]].tolist()
+    phases = np.array([phase.value for phase in PHASES], dtype=object)[decisions.phase].tolist()
+    scores = [[""] * len(decisions), [""] * len(decisions)]
+    for row, outcome in decisions.outcomes.items():
+        for column, score in zip(scores, outcome):  # spikiness, mahalanobis
+            if score is not None:
+                column[row] = format(score, ".9g")
+    write_csv_columns(
         path,
         ["image_id", "base", "candidate", "phase", "spikiness", "mahalanobis", "final"],
-        (
-            f"{csv_field(trace.image_id)},{names[trace.base_label]},"
-            f"{'' if trace.candidate is None else names[trace.candidate]},"
-            f"{trace.phase_reached.value},"
-            f"{'' if trace.spikiness is None else format(trace.spikiness, '.9g')},"
-            f"{'' if trace.mahalanobis is None else format(trace.mahalanobis, '.9g')},"
-            f"{names[trace.final_label]}\n"
-            for trace in traces
-        ),
+        [csv_column(decisions.ids), base, candidate, phases, *scores, final],
     )

@@ -14,6 +14,8 @@ from wbcrescue.core import (
     Phase,
     RescueConfig,
     ValidationError,
+    csv_column,
+    csv_field,
     default_label_set,
     join_ids,
     load_label_file,
@@ -185,6 +187,30 @@ def test_write_csv_quotes_a_row_of_one_empty_field(tmp_path):
     write_csv(path, ["image_id"], [[""], ["a"]])
     assert path.read_bytes() == b'image_id\n""\na\n'
     assert [row for _, row in read_csv(path, ["image_id"])] == [[""], ["a"]]
+
+
+_PLAIN_CELLS = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters=',"\r\n'), max_size=6)
+
+
+@st.composite
+def _id_columns(draw):
+    """Any list of cells, or a list of cells that need no quoting but one."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(_PLAIN_CELLS, _CELLS), max_size=8))
+    values = draw(st.lists(_PLAIN_CELLS, max_size=8))
+    odd = draw(st.tuples(_PLAIN_CELLS, st.sampled_from([",", '"', "\r", "\n"]), _PLAIN_CELLS))
+    values.insert(draw(st.integers(min_value=0, max_value=len(values))), "".join(odd))
+    return values
+
+
+@given(_id_columns())
+@settings(max_examples=300)
+def test_csv_column_quotes_as_csv_field_does(values):
+    column = csv_column(values)
+    assert list(column) == [csv_field(value) for value in values]
+    if column is not values:  # the quoted copy is made only when it is needed
+        assert [csv_field(value) for value in values] != values
 
 
 def test_synth_csv_ids_needing_quotes_read_back(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import (ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, read_csv,
-                            read_plain_csv)
+from wbcrescue.core import (ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, csv_field,
+                            read_csv, read_plain_csv, write_csv_lines)
 from wbcrescue.ingest import (
     CellSample,
     DirectorySampleSource,
@@ -307,6 +307,35 @@ def test_write_prob_table_matches_the_csv_module_writer(tmp_path_factory, table)
          for image_id, probs in zip(table.ids, table.matrix)),
     )
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+def _write_prob_table_reference(path, table):
+    """The former `write_prob_table`: one `%` template per row."""
+    template = "%s," + ",".join(["%.12g"] * len(table.label_set)) + "\n"
+    write_csv_lines(
+        path,
+        ["image_id", *table.label_set.names],
+        (template % (csv_field(image_id), *row.tolist())
+         for image_id, row in zip(table.ids, table.matrix)),
+    )
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
+def test_write_prob_table_matches_the_per_row_writer_across_chunks(tmp_path, rows, quoted):
+    # Every fifth id is 40 characters long and, when `quoted`, every third
+    # needs quoting, so both kinds fall on each side of the writer's chunk
+    # edges, every 1024 rows.
+    ids = [
+        f'"{i}",x' if quoted and i % 3 == 0
+        else ("é" * 36 + f"{i:04d}" if i % 5 == 0 else f"id{i}")
+        for i in range(rows)
+    ]
+    matrix = np.random.default_rng(rows).random((rows, 13))
+    table = ProbTable(LabelSet([f"C{k}" for k in range(13)]), ids, matrix)
+    write_prob_table(tmp_path / "new.csv", table)
+    _write_prob_table_reference(tmp_path / "old.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _normalize_row_reference(values, where):

@@ -26,7 +26,9 @@ from wbcrescue.morphology import (
     trace_contour,
 )
 from wbcrescue.rescue import (
+    PHASES,
     BoostFactors,
+    Decisions,
     compute_boost_factors,
     parallel_map,
     phase1_candidate,
@@ -407,7 +409,7 @@ def test_rare_base_confirming_itself_proceeds(gate):
 
 def test_empty_batch(gate):
     swin, med = _tables([], [])
-    assert rescue_batch(swin, med, CountingSource({}), _counts(), gate, RescueConfig()) == []
+    assert list(rescue_batch(swin, med, CountingSource({}), _counts(), gate, RescueConfig())) == []
 
 
 def test_batch_loads_samples_lazily(gate):
@@ -534,7 +536,7 @@ def test_batch_is_deterministic_across_threads(gate):
         )
         for threads in (1, 8)
     ]
-    assert runs[0] == runs[1]
+    assert list(runs[0]) == list(runs[1])
 
 
 # Samples the kernel test deals out: spiky, round, off-centre nucleus,
@@ -596,6 +598,32 @@ def test_batch_kernel_matches_per_row_oracle(gate, case):
             swin, med, source, counts, gate, config,
             skip_missing=skip_missing, threads=threads,
         ))) == expected
+
+
+@given(_kernel_cases())
+@settings(max_examples=100, deadline=None)
+def test_batch_record_columns_agree_with_its_views(gate, case):
+    rows, config, _ = case
+    counts = ClassCounts(tuple([100] * K))
+    boosts = compute_boost_factors(LABELS, counts, config)
+    source = CountingSource(
+        {image_id: _POOL[key] for image_id, _, _, key in rows if _POOL[key] is not None}
+    )
+    ids = [image_id for image_id, _, _, _ in rows]
+    decisions = rescue_batch(_table(ids, [p for _, p, _, _ in rows]),
+                             _table(ids, [p for _, _, p, _ in rows]),
+                             source, counts, gate, config, skip_missing=True)
+    views = list(decisions)
+    assert views == [
+        _oracle(image_id, p_swin, p_med, source, boosts, gate, config, True)[0]
+        for image_id, p_swin, p_med, _ in rows
+    ]
+    assert [decisions[row - len(rows)] for row in range(len(rows))] == views
+    assert decisions.final.tolist() == [view.final_label for view in views]
+    # The phase counts that perfbench/layers.py reads from the views.
+    assert np.bincount(decisions.phase, minlength=len(PHASES)).tolist() == [
+        sum(view.phase_reached is phase for view in views) for phase in PHASES
+    ]
 
 
 # ------------------------------------------------------------ invariants
@@ -660,7 +688,10 @@ def test_prediction_and_trace_csv(tmp_path, gate):
 
 
 @st.composite
-def _written_traces(draw):
+def _written_decisions(draw):
+    """A record of rows that `rescue_batch` can produce: NoCandidate rows
+    without a candidate, FailedSemantic rows with one, and phase-3 rows with
+    a candidate and optional scores and error."""
     k = draw(st.integers(min_value=2, max_value=6))
     label_set = LabelSet(draw(st.lists(st.text(alphabet='PLYC,"\r\n é', min_size=1, max_size=4),
                                        min_size=k, max_size=k, unique=True)))
@@ -668,14 +699,17 @@ def _written_traces(draw):
     classes = st.integers(min_value=0, max_value=k - 1)
     scores = st.one_of(st.none(), st.floats(width=64, allow_nan=False),
                        st.sampled_from([math.inf, -math.inf]))
-    traces = []
-    for image_id in ids:
-        phase = draw(st.sampled_from(list(Phase)))
-        needs_candidate = phase is not Phase.NO_CANDIDATE
-        candidate = draw(classes if needs_candidate else st.one_of(st.none(), classes))
-        traces.append(DecisionTrace(image_id, draw(classes), candidate, phase,
-                                    draw(scores), draw(scores)))
-    return label_set, traces
+    base, candidate, phase, outcomes = [], [], [], {}
+    for row in range(len(ids)):
+        code = draw(st.integers(min_value=0, max_value=len(PHASES) - 1))
+        base.append(draw(classes))
+        candidate.append(-1 if PHASES[code] is Phase.NO_CANDIDATE else draw(classes))
+        phase.append(code)
+        if PHASES[code] in (Phase.FAILED_MORPHOLOGY, Phase.RESCUED):
+            outcomes[row] = (draw(scores), draw(scores), draw(st.one_of(st.none(), st.text())))
+    return label_set, Decisions(tuple(ids), np.array(base, dtype=np.int64),
+                                np.array(candidate, dtype=np.int64),
+                                np.array(phase, dtype=np.int8), outcomes)
 
 
 def _write_predictions_reference(path, traces, label_set):
@@ -706,13 +740,13 @@ def _write_trace_reference(path, traces, label_set):
     )
 
 
-@given(_written_traces())
+@given(_written_decisions())
 @settings(max_examples=200, deadline=None)
 def test_prediction_and_trace_writers_match_the_csv_module_writer(tmp_path_factory, drawn):
-    label_set, traces = drawn
+    label_set, decisions = drawn
     folder = tmp_path_factory.mktemp("out")
     for write, reference in ((write_predictions_csv, _write_predictions_reference),
                              (write_trace_csv, _write_trace_reference)):
-        write(folder / "new.csv", traces, label_set)
-        reference(folder / "old.csv", traces, label_set)
+        write(folder / "new.csv", decisions, label_set)
+        reference(folder / "old.csv", list(decisions), label_set)
         assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
