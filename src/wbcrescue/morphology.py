@@ -285,13 +285,14 @@ def _best_threshold_split(sorted_values: np.ndarray) -> int:
     return min(near.tolist(), key=lambda i: (_split_cost_exact(values, i), i))
 
 
-def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sample's foreground gathered once and split by 2-means.
+def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample's foreground gathered once and split by luminance 2-means.
 
     Returns the flat row-major indices of the foreground pixels, their
-    luminance, and the flags of the darker cluster, all in that order. The
-    optimal 1-D 2-means partition is always a threshold: the one with the
-    least within-cluster sum of squares, the lower one on a tie, at any size.
+    luminance, and the flags of the darker cluster (the nucleus; the rest is
+    cytoplasm), all in that order. The optimal 1-D 2-means partition is
+    always a threshold: the one with the least within-cluster sum of
+    squares, the lower one on a tie, at any size.
     """
     flat = np.flatnonzero(np.asarray(sample.mask, dtype=bool))
     if flat.size == 0:
@@ -307,20 +308,6 @@ def _foreground_split(sample: CellSample) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValidationError(f"{sample.image_id}: degenerate luminance distribution")
     cut = sorted_values[_best_threshold_split(sorted_values) - 1]
     return flat, values, values <= cut
-
-
-def kmeans2_luminance(sample: CellSample) -> tuple[np.ndarray, np.ndarray]:
-    """Partition foreground pixels into nucleus and cytoplasm by luminance.
-
-    The least-cost luminance threshold splits the foreground; see
-    `_foreground_split`. Returns (nucleus_mask, cytoplasm_mask); the darker
-    cluster is the nucleus and the two masks partition the foreground.
-    """
-    flat, _, dark = _foreground_split(sample)
-    foreground = np.asarray(sample.mask, dtype=bool)
-    nucleus = np.zeros(foreground.shape, dtype=bool)
-    nucleus.ravel()[flat[dark]] = True  # a new C-ordered array ravels to a view
-    return nucleus, foreground & ~nucleus
 
 
 class MorphVector(NamedTuple):
@@ -352,11 +339,11 @@ def _centroid(flat: np.ndarray, shape: tuple[int, int]) -> tuple[float, float]:
 def morph_vector(sample: CellSample) -> MorphVector:
     """Extract the 3-component shape vector from one segmented cell.
 
-    Every term comes from one foreground split. Pixels are addressed by
+    Every term comes from one `kmeans2_luminance` split. Pixels are addressed by
     their flat row-major index, so each mean sees its values in the order a
     boolean-mask selection would give them.
     """
-    flat, values, dark = _foreground_split(sample)
+    flat, values, dark = kmeans2_luminance(sample)
     area_cell = len(flat)
     area_nucleus = int(np.count_nonzero(dark))
     area_cytoplasm = area_cell - area_nucleus  # both > 0: the split lies between two values
@@ -376,11 +363,12 @@ def _invert_spd_3x3(matrix: np.ndarray, where: str) -> np.ndarray:
     the leading 2x2 minor is the adjugate's last entry.
     """
     r0, r1, r2 = matrix
-    adjugate = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
-    det = r0[0] * adjugate[0, 0] + r0[1] * adjugate[1, 0] + r0[2] * adjugate[2, 0]
-    if r0[0] <= 0.0 or adjugate[2, 2] <= 0.0 or det <= 0.0:
-        raise ValidationError(f"{where}: degenerate covariance")
-    with np.errstate(over="ignore"):
+    # A product past float range is inf or NaN, which the checks reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjugate = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
+        det = r0[0] * adjugate[0, 0] + r0[1] * adjugate[1, 0] + r0[2] * adjugate[2, 0]
+        if r0[0] <= 0.0 or adjugate[2, 2] <= 0.0 or det <= 0.0:
+            raise ValidationError(f"{where}: degenerate covariance")
         inverse = adjugate / det
     if not np.all(np.isfinite(inverse)):
         raise ValidationError(f"{where}: degenerate covariance")
@@ -416,11 +404,12 @@ def fit_gaussian_gate(features, ridge_scale: float = 1e-6) -> GaussianGate:
         raise ValidationError("non-finite calibration feature")
     if not math.isfinite(ridge_scale) or ridge_scale < 0.0:
         raise ValidationError(f"ridge_scale must be >= 0, got {ridge_scale}")
-    mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    covariance = centered.T @ centered / (n - 1)
-    covariance = (covariance + covariance.T) / 2.0
-    ridge = ridge_scale * float(np.trace(covariance)) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):  # `_build_gate` rejects inf and NaN
+        mean = matrix.mean(axis=0)
+        centered = matrix - mean
+        covariance = centered.T @ centered / (n - 1)
+        covariance = (covariance + covariance.T) / 2.0
+        ridge = ridge_scale * float(np.trace(covariance)) / 3.0
     return _build_gate(mean, covariance, ridge, n, "gate fit")
 
 
@@ -428,13 +417,16 @@ def _build_gate(mean, covariance, ridge: float, count: int, where: str) -> Gauss
     """Check the gate parameters, invert covariance + ridge * I, freeze it all."""
     if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(covariance)):
         raise ValidationError(f"{where}: non-finite gate parameters")
-    if np.abs(covariance - covariance.T).max() > 1e-9:
-        raise ValidationError(f"{where}: covariance is not symmetric")
+    with np.errstate(over="ignore"):  # an inf difference is asymmetric too
+        if np.abs(covariance - covariance.T).max() > 1e-9:
+            raise ValidationError(f"{where}: covariance is not symmetric")
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValidationError(f"{where}: ridge must be finite and >= 0, got {ridge}")
     if count <= 3:
         raise ValidationError(f"{where}: n must be > 3, got {count}")
-    precision = _invert_spd_3x3(covariance + ridge * np.eye(3), where)
+    with np.errstate(over="ignore"):  # an inf sum fails the inverse's checks
+        shifted = covariance + ridge * np.eye(3)
+    precision = _invert_spd_3x3(shifted, where)
     for array in (mean, covariance, precision):
         array.flags.writeable = False
     return GaussianGate(mean, covariance, precision, ridge, count)
@@ -447,8 +439,8 @@ def mahalanobis(gate: GaussianGate, vector) -> float:
         raise ValidationError("morphological vector must have 3 components")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite morphological vector")
-    delta = arr - gate.mean
     with np.errstate(all="ignore"):  # overflow gives inf (far away) or NaN (rejected)
+        delta = arr - gate.mean
         squared = float(delta @ gate.precision @ delta)
     if math.isnan(squared):
         raise ValidationError("Mahalanobis distance is NaN: vector too far out of range")

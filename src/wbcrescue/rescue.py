@@ -76,7 +76,10 @@ def compute_boost_factors(
         count = counts[class_id]
         if count == 0:
             raise ValidationError(f"boost undefined for zero-count class {name!r}")
-        raw = math.log1p(counts.max_count / count)
+        try:
+            raw = math.log1p(counts.max_count / count)
+        except OverflowError:  # a ratio past float range: its limit, the cap
+            raw = math.inf
         factors[class_id] = min(config.boost_cap, max(1.0, raw))
     return BoostFactors(factors, rare_indices)
 

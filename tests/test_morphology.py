@@ -17,7 +17,6 @@ from wbcrescue.morphology import (
     _NEXT_DIRECTION,
     _best_threshold_split,
     _distinct_points,
-    _foreground_split,
     _hull_of_distinct,
     _invert_spd_3x3,
     LUMA_WEIGHTS,
@@ -39,6 +38,7 @@ from wbcrescue.morphology import (
     write_features_csv,
 )
 
+from reference import split_masks
 from synth import cell_sample, disc_mask, eccentric_cell, gray_sample, star_mask
 
 
@@ -550,7 +550,7 @@ def test_hull_of_three_distinct_points_has_a_positive_perimeter(points):
 def test_kmeans_worked_example():
     gray = np.array([[10, 12], [200, 210]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((2, 2), dtype=bool))
-    nucleus, cytoplasm = kmeans2_luminance(sample)
+    nucleus, cytoplasm = split_masks(sample)
     values = luminance(sample.pixels)
     assert sorted(values[nucleus]) == pytest.approx([10.0, 12.0])
     assert sorted(values[cytoplasm]) == pytest.approx([200.0, 210.0])
@@ -561,7 +561,7 @@ def test_kmeans_worked_example():
 def test_kmeans_two_point_case():
     gray = np.array([[0, 255]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((1, 2), dtype=bool))
-    nucleus, cytoplasm = kmeans2_luminance(sample)
+    nucleus, cytoplasm = split_masks(sample)
     assert nucleus.tolist() == [[True, False]]
     assert cytoplasm.tolist() == [[False, True]]
 
@@ -574,7 +574,7 @@ def test_kmeans_outputs_partition_foreground():
         mask[2, 2] = mask[3, 3] = True
         gray[2, 2], gray[3, 3] = 0, 255  # guarantee two distinct luminances
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm = kmeans2_luminance(sample)
+        nucleus, cytoplasm = split_masks(sample)
         assert not (nucleus & cytoplasm).any()
         assert ((nucleus | cytoplasm) == mask).all()
 
@@ -630,7 +630,7 @@ def test_kmeans_matches_threshold_oracle_on_small_inputs():
         if len(set(values.tolist())) < 2:
             continue
         sample = gray_sample(gray, mask)
-        nucleus, cytoplasm = kmeans2_luminance(sample)
+        nucleus, cytoplasm = split_masks(sample)
         got = _returned_wcss(sample, nucleus, cytoplasm)
         want = _oracle_best_wcss(list(luminance(sample.pixels)[mask]))
         assert got == want
@@ -641,7 +641,7 @@ def test_kmeans_escapes_locally_stable_split():
     # split of {0, 10, 11, 21}; optimum isolates the far endpoint.
     gray = np.array([[0, 10], [11, 21]], dtype=np.uint8)
     sample = gray_sample(gray, np.ones((2, 2), dtype=bool))
-    nucleus, cytoplasm = kmeans2_luminance(sample)
+    nucleus, cytoplasm = split_masks(sample)
     got = _returned_wcss(sample, nucleus, cytoplasm)
     want = _oracle_best_wcss(list(luminance(sample.pixels)[sample.mask]))
     assert got == want
@@ -651,7 +651,7 @@ def test_kmeans_escapes_locally_stable_split():
 def test_kmeans_tie_goes_to_lower_threshold():
     # {0} | {1, 1, 2} and {0, 1, 1} | {2} both cost exactly 2/3.
     gray = np.array([[0, 1, 1, 2]], dtype=np.uint8)
-    nucleus, cytoplasm = kmeans2_luminance(gray_sample(gray, np.ones((1, 4), dtype=bool)))
+    nucleus, cytoplasm = split_masks(gray_sample(gray, np.ones((1, 4), dtype=bool)))
     assert nucleus.tolist() == [[True, False, False, False]]
     assert cytoplasm.tolist() == [[False, True, True, True]]
 
@@ -661,7 +661,7 @@ def test_kmeans_splits_two_levels_whose_squares_overflow():
     pixels = np.zeros((1, 100, 3))
     pixels[0, :50] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        nucleus, _ = kmeans2_luminance(CellSample("cell", pixels, np.ones((1, 100), dtype=bool)))
+        nucleus, _ = split_masks(CellSample("cell", pixels, np.ones((1, 100), dtype=bool)))
     assert nucleus[0].tolist() == [False] * 50 + [True] * 50
 
 
@@ -736,7 +736,7 @@ def _large_cells(draw):
 @given(_large_cells())
 @settings(max_examples=300, deadline=None)
 def test_kmeans_large_inputs_reach_the_optimum(sample):
-    nucleus, _ = kmeans2_luminance(sample)
+    nucleus, _ = split_masks(sample)
     assert int(nucleus.sum()) == _oracle_best_split(list(luminance(sample.pixels)[sample.mask]))
 
 
@@ -903,7 +903,7 @@ def _textured_cells(draw):
 @given(_textured_cells())
 @settings(max_examples=300, deadline=None)
 def test_morph_vector_matches_full_image_reference(sample):
-    masks = _outcome(kmeans2_luminance, sample)
+    masks = _outcome(split_masks, sample)
     expected = _outcome(_kmeans_reference, sample)
     if isinstance(expected, str):
         assert masks == expected
@@ -913,10 +913,10 @@ def test_morph_vector_matches_full_image_reference(sample):
 
 
 def _morph_vector_from_masks_reference(sample):
-    """The shape vector read back from `kmeans2_luminance`'s two masks, each
+    """The shape vector read back from `split_masks`'s two masks, each
     term gathered by its own flat-index pass: the oracle for the vector taken
     from one shared foreground split."""
-    nucleus_mask, cytoplasm_mask = kmeans2_luminance(sample)
+    nucleus_mask, cytoplasm_mask = split_masks(sample)
     nucleus = np.flatnonzero(nucleus_mask)
     cytoplasm = np.flatnonzero(cytoplasm_mask)
     area_nucleus = len(nucleus)
@@ -981,7 +981,7 @@ def test_morph_vector_matches_mask_reference(sample):
     got = _bits_or_message(morph_vector, sample)
     assert got == _bits_or_message(_morph_vector_from_masks_reference, sample)
     if not isinstance(got, str):
-        nucleus, cytoplasm = kmeans2_luminance(sample)
+        nucleus, cytoplasm = split_masks(sample)
         nc_ratio = int(nucleus.sum()) / int(cytoplasm.sum())
         assert morph_vector(sample).nc_ratio == nc_ratio
 
@@ -991,7 +991,7 @@ def test_morph_vector_matches_mask_reference(sample):
 def test_split_leaves_both_clusters_non_empty(sample):
     # `morph_vector` divides by both cluster sizes without a zero check.
     try:
-        _, _, dark = _foreground_split(sample)
+        _, _, dark = kmeans2_luminance(sample)
     except ValidationError:  # an empty mask or a flat luminance
         return
     assert dark.any() and not dark.all()
@@ -1299,6 +1299,13 @@ def test_mahalanobis_rejects_nan_distance():
     assert mahalanobis(gate, [0.0, 0.0, 2.0]) == pytest.approx(2.0)
 
 
+def test_mahalanobis_of_a_difference_past_float_range_is_rejected():
+    # The difference overflows to inf, and inf * 0 in the product is NaN.
+    gate = GaussianGate(np.full(3, 1e308), np.eye(3), np.eye(3), 0.0, 30)
+    with pytest.raises(ValidationError, match="^Mahalanobis distance is NaN"):
+        mahalanobis(gate, [-1e308] * 3)
+
+
 def test_mahalanobis_rejects_non_finite():
     gate = fit_gaussian_gate(_jittered_ones())
     with pytest.raises(ValidationError, match="non-finite"):
@@ -1313,8 +1320,11 @@ def test_mahalanobis_rejects_non_finite():
         (lambda: mahalanobis(fit_gaussian_gate(_jittered_ones()), [0.0, 0.0]),
          "morphological vector must have 3 components"),
         (lambda: calibrate_spikiness_threshold([0.1, math.nan]), "non-finite reference score"),
+        # Finite features whose covariance product overflows.
+        (lambda: fit_gaussian_gate(1e200 * _jittered_ones()),
+         "gate fit: non-finite gate parameters"),
     ],
-    ids=["fit-shape", "fit-ridge", "mahalanobis-shape", "calibrate-nan"],
+    ids=["fit-shape", "fit-ridge", "mahalanobis-shape", "calibrate-nan", "fit-overflow"],
 )
 def test_gate_and_calibration_reject_bad_arguments(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -1397,6 +1407,10 @@ def test_gate_file_rejects_garbage(tmp_path):
         ({"n": "-5"}, "n must be > 3, got -5"),
         # Passes Sylvester's criterion, but the inverse overflows.
         ({"cov": "1e10 0 0 0 1e-310 0 0 0 1"}, "degenerate covariance"),
+        # Finite, but the minors, the asymmetry or the ridge sum overflow.
+        ({"cov": "1e200 0 0 0 1e200 0 0 0 1e200"}, "degenerate covariance"),
+        ({"cov": "1 1.7e308 0 -1.7e308 1 0 0 0 1"}, "covariance is not symmetric"),
+        ({"cov": "1.7e308 0 0 0 1 0 0 0 1", "ridge": "1.7e308"}, "degenerate covariance"),
     ):
         entries = {"mean": "0 0 0", "cov": "1 0 0 0 1 0 0 0 1", "ridge": "0", "n": "30", **bad}
         path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")

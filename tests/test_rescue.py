@@ -109,6 +109,15 @@ def test_boost_cap_applies():
     assert boosts.factors[PLY] == 10.0
 
 
+def test_a_ratio_past_float_range_boosts_to_the_cap():
+    # 10**400 / 14 has no float: the factor is the formula's limit, the cap.
+    boosts = compute_boost_factors(LABELS, _counts(SNE=10**400), RescueConfig(boost_cap=50.0))
+    assert boosts.factors[PLY] == boosts.factors[PC] == 50.0
+    # A ratio just inside float range keeps its bits.
+    boosts = compute_boost_factors(LABELS, _counts(SNE=10**308, PLY=1), RescueConfig(boost_cap=1e3))
+    assert boosts.factors[PLY] == math.log1p(1e308)
+
+
 def test_explicit_override_wins():
     config = RescueConfig(boost_overrides={"PLY": 3.5})
     boosts = compute_boost_factors(LABELS, _counts(), config)
