@@ -8,6 +8,15 @@
 set -eo pipefail
 cd "$(mktemp -d)"
 wbcrescue --help
+# Importing the CLI adds neither the thread pool's modules nor dataclasses
+# beyond what argparse, array, csv and NumPy load: a command loads the pool
+# only when it starts one.
+python3 -c '
+import sys, argparse, array, csv, numpy
+baseline = set(sys.modules)
+import wbcrescue.cli
+added = sorted({"concurrent.futures", "logging", "dataclasses"} & set(sys.modules) - baseline)
+sys.exit(f"::error::import wbcrescue.cli loaded {added}" if added else None)'
 printf 'image_id,label\na,SNE\nb,LY\n' > pred.csv
 printf 'image_id,label\na,SNE\nb,SNE\n' > truth.csv
 wbcrescue evaluate --pred pred.csv --truth truth.csv --out report.txt 2> quiet.err

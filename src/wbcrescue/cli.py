@@ -15,8 +15,6 @@ import ctypes
 import os
 import sys
 import zlib
-# Unused here; kept bound because perfbench/tracing.py patches cli.ThreadPoolExecutor.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -56,6 +54,15 @@ from .morphology import (
 )
 from .noise import check_salt_pepper_rates, inject_salt_pepper, noise_score
 from .rescue import PHASES, parallel_map, rescue_batch, write_predictions_csv, write_trace_csv
+from . import rescue
+
+
+def __getattr__(name: str):
+    """`rescue.ThreadPoolExecutor`, a name here for perfbench/tracing.py to patch."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return rescue.ThreadPoolExecutor
+
 
 # glibc's mallopt(3) parameters and the values run() gives them. A freed
 # block below the mmap threshold stays in the heap, and the heap's top is

@@ -8,7 +8,6 @@ import csv
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,19 +48,50 @@ def errors_in(where):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class Frozen:
+    """Base of the immutable value types. A subclass names its fields in
+    `__slots__` and sets them in `__init__` through `_set`; assigning or
+    deleting one afterwards raises AttributeError. `==`, hash and repr go over
+    the fields, not over a slot named `_...`, which holds what they derive."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _items(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._items() == other._items() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._items())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__name__}({fields})"
+
+
+class LabelSet(Frozen):
     """Ordered, immutable catalog of class names.
 
     Every probability vector, count vector, and confusion matrix in the
     engine is indexed by a LabelSet; indices are stable for its lifetime.
     """
 
-    names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("names", "_index")
 
-    def __post_init__(self):
-        names = tuple(self.names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if len(names) < 2:
             raise ValidationError("label catalog needs at least 2 classes")
         index: dict[str, int] = {}
@@ -71,8 +101,7 @@ class LabelSet:
             if name in index:
                 raise ValidationError(f"duplicate class name {name!r}")
             index[name] = position
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", index)
+        self._set(names=names, _index=index)
 
     def index_of(self, name: str) -> ClassId:
         try:
@@ -355,20 +384,20 @@ def normalize_probs(
     return out
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(Frozen):
     """Per-class training-sample counts, aligned with a LabelSet."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        if not self.counts:
+    def __init__(self, counts: tuple[int, ...]):
+        if not counts:
             raise ValidationError("empty class counts")
-        for value in self.counts:
+        for value in counts:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValidationError(f"invalid class count {value!r}")
-        if max(self.counts) <= 0:
+        if max(counts) <= 0:
             raise ValidationError("all class counts are zero")
+        self._set(counts=counts)
 
     def __getitem__(self, class_id: ClassId) -> int:
         return self.counts[class_id]
@@ -388,42 +417,38 @@ def _check_threshold(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RescueConfig:
+class RescueConfig(Frozen):
     """Thresholds and class roles steering the rescue pipeline.
 
     tau_s and tau_m accept +/-inf as sentinels so operators can force a
     filter to always or never pass (used by ablation runs).
     """
 
-    rare_classes: frozenset[str] = FILTERED_CLASSES
-    boost_overrides: Mapping[str, float] = field(default_factory=dict)
-    tau: float = 0.5
-    tau_s: float = 0.15
-    tau_m: float = 3.0
-    boost_cap: float = 10.0
+    __slots__ = ("rare_classes", "boost_overrides", "tau", "tau_s", "tau_m", "boost_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rare_classes", frozenset(self.rare_classes))
-        object.__setattr__(self, "boost_overrides", dict(self.boost_overrides))
-        tau = _check_threshold("tau", self.tau)
+    def __init__(self, rare_classes: Iterable[str] = FILTERED_CLASSES,
+                 boost_overrides: Mapping[str, float] | None = None, tau: float = 0.5,
+                 tau_s: float = 0.15, tau_m: float = 3.0, boost_cap: float = 10.0):
+        rare_classes = frozenset(rare_classes)
+        boost_overrides = dict(boost_overrides or {})  # each config its own dict
+        tau = _check_threshold("tau", tau)
         if not 0.0 <= tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "tau_s", _check_threshold("tau_s", self.tau_s))
-        object.__setattr__(self, "tau_m", _check_threshold("tau_m", self.tau_m))
-        cap = float(self.boost_cap)
+        tau_s = _check_threshold("tau_s", tau_s)
+        tau_m = _check_threshold("tau_m", tau_m)
+        cap = float(boost_cap)
         if not math.isfinite(cap) or cap < 1.0:
             raise ValidationError(f"boost_cap must be a finite value >= 1, got {cap}")
-        object.__setattr__(self, "boost_cap", cap)
-        for name, value in self.boost_overrides.items():
+        for name, value in boost_overrides.items():
             value = float(value)
             if not math.isfinite(value) or value < 1.0 or value > cap:
                 raise ValidationError(
                     f"boost override for {name!r} must lie in [1, {cap}], got {value}"
                 )
-            if name not in self.rare_classes:
+            if name not in rare_classes:
                 raise ValidationError(f"boost override for non-rare class {name!r}")
+        self._set(rare_classes=rare_classes, boost_overrides=boost_overrides, tau=tau,
+                  tau_s=tau_s, tau_m=tau_m, boost_cap=cap)
 
     def validate_against(self, label_set: LabelSet) -> None:
         for name in sorted(self.rare_classes):

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (ClassCounts, LabelSet, ValidationError, csv_column, errors_in, join_ids,
+from .core import (ClassCounts, Frozen, LabelSet, ValidationError, csv_column, errors_in, join_ids,
                    normalize_probs, read_keyed_csv, read_plain_csv, write_csv_lines)
 from .netpbm import read_pnm
 
@@ -146,23 +145,22 @@ def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:
         return ClassCounts(tuple(counts[name] for name in label_set))
 
 
-@dataclass(frozen=True)
-class CellSample:
-    """One cell image with the binary mask isolating the leukocyte."""
+class CellSample(Frozen):
+    """One cell image with the binary mask isolating the leukocyte: `pixels`
+    (H, W, 3) uint8 and `mask` (H, W) bool."""
 
-    image_id: str
-    pixels: np.ndarray  # (H, W, 3) uint8
-    mask: np.ndarray    # (H, W) bool
+    __slots__ = ("image_id", "pixels", "mask")
 
-    def __post_init__(self):
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ValidationError(f"{self.image_id}: pixels must be (H, W, 3)")
-        if self.mask.shape != self.pixels.shape[:2]:
+    def __init__(self, image_id: str, pixels: np.ndarray, mask: np.ndarray):
+        if pixels.ndim != 3 or pixels.shape[2] != 3:
+            raise ValidationError(f"{image_id}: pixels must be (H, W, 3)")
+        if mask.shape != pixels.shape[:2]:
             raise ValidationError(
-                f"{self.image_id}: dimension mismatch: image "
-                f"{self.pixels.shape[1]}x{self.pixels.shape[0]} vs mask "
-                f"{self.mask.shape[1] if self.mask.ndim == 2 else '?'}x{self.mask.shape[0]}"
+                f"{image_id}: dimension mismatch: image "
+                f"{pixels.shape[1]}x{pixels.shape[0]} vs mask "
+                f"{mask.shape[1] if mask.ndim == 2 else '?'}x{mask.shape[0]}"
             )
+        self._set(image_id=image_id, pixels=pixels, mask=mask)
 
 
 def read_image_rgb(path) -> np.ndarray:
@@ -241,14 +239,23 @@ class DirectorySampleSource:
         return load_cell_sample(image_path, mask_path, image_id)
 
 
+def _is_file(entry: os.DirEntry) -> bool:
+    """`entry.is_file()`, with no `stat` for a regular file on Linux, or
+    `Path.is_file()` where that raises, as on a symlink loop."""
+    try:
+        return entry.is_file()
+    except OSError:
+        return Path(entry.path).is_file()
+
+
 def list_image_ids(images_dir) -> list[str]:
-    """Deterministically ordered ids of all netpbm images in a directory."""
+    """Deterministically ordered ids of all netpbm images in a directory.
+    Names split as `Path` splits them: `.ppm` alone has no suffix, and
+    `a.b.ppm` is the id `a.b`. A symlink counts as the file it leads to."""
     directory = Path(images_dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
-    ids = {
-        entry.stem
-        for entry in directory.iterdir()
-        if entry.is_file() and entry.suffix in _IMAGE_SUFFIXES
-    }
+    with os.scandir(directory) as entries:
+        ids = {entry.name[:-4] for entry in entries
+               if entry.name[-4:] in _IMAGE_SUFFIXES and entry.name[:-4] and _is_file(entry)}
     return sorted(ids)

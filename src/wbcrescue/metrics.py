@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +30,7 @@ def build_confusion(
     return counts.reshape(num_classes, num_classes).astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Macro metrics plus the per-class table they average over.
 
     Per-class values with a zero denominator follow the usual toolkit

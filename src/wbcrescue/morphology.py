@@ -5,7 +5,6 @@ cells."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -375,8 +374,7 @@ def _invert_spd_3x3(matrix: np.ndarray, where: str) -> np.ndarray:
     return inverse
 
 
-@dataclass(frozen=True)
-class GaussianGate:
+class GaussianGate(NamedTuple):
     """Fitted mean/covariance model answering Mahalanobis queries."""
 
     mean: np.ndarray        # (3,)

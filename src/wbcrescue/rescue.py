@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import sys
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ from .core import (
     SPIKY_CLASS,
     ClassCounts,
     DecisionTrace,
+    Frozen,
     LabelSet,
     Phase,
     RescueConfig,
@@ -35,24 +35,22 @@ from .morphology import (
 )
 
 
-@dataclass(frozen=True)
-class BoostFactors:
+class BoostFactors(Frozen):
     """Per-class multiplicative boosts; exactly 1 outside the rare set."""
 
-    factors: np.ndarray
-    rare_indices: frozenset[int]
+    __slots__ = ("factors", "rare_indices")
 
-    def __post_init__(self):
-        factors = np.asarray(self.factors, dtype=np.float64)
+    def __init__(self, factors: np.ndarray, rare_indices: frozenset[int]):
+        factors = np.asarray(factors, dtype=np.float64)
         factors.flags.writeable = False
-        object.__setattr__(self, "factors", factors)
         if np.any(factors < 1.0) or not np.all(np.isfinite(factors)):
             raise ValidationError("boost factors must be finite and >= 1")
         for class_id, value in enumerate(factors):
-            if class_id not in self.rare_indices and value != 1.0:
+            if class_id not in rare_indices and value != 1.0:
                 raise ValidationError(
                     f"boost factor for non-rare class index {class_id} must be 1"
                 )
+        self._set(factors=factors, rare_indices=rare_indices)
 
 
 def compute_boost_factors(
@@ -150,26 +148,38 @@ def parallel_map(fn, items, threads: int) -> list:
             threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def __getattr__(name: str):
+    """Import `ThreadPoolExecutor` on first access (PEP 562), so a run that
+    starts no pool never loads `concurrent.futures`. `parallel_map` reads it
+    through the module at each call, so a patched class is the one used."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    globals()[name] = ThreadPoolExecutor
+    return ThreadPoolExecutor
 
 
 PHASES = tuple(Phase)
 
 
-@dataclass(frozen=True, eq=False)
-class Decisions:
+class Decisions(Frozen):
     """A batch's decisions as columns in table order: the image `ids`, the
     `base` label, the `candidate` pursued (-1 where none is) and the `phase`
     reached (int8, a position in `PHASES`). `outcomes` maps each row that
     reached the shape filters to its `(spikiness, mahalanobis, error)`.
-    Indexing and iteration read row i as its `DecisionTrace`."""
+    Indexing and iteration read row i as its `DecisionTrace`; equality is identity."""
 
-    ids: Sequence[str]
-    base: np.ndarray
-    candidate: np.ndarray
-    phase: np.ndarray
-    outcomes: Mapping[int, tuple[float | None, float | None, str | None]]
+    __slots__ = ("ids", "base", "candidate", "phase", "outcomes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, ids: Sequence[str], base: np.ndarray, candidate: np.ndarray,
+                 phase: np.ndarray, outcomes: Mapping[int, tuple]):
+        self._set(ids=ids, base=base, candidate=candidate, phase=phase, outcomes=outcomes)
 
     @property
     def final(self) -> np.ndarray:

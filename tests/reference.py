@@ -2,12 +2,14 @@
 and gate it is checked on; shared by the acceptance criteria and the
 CLI-level oracle. Also the former `csv.writer`-based CSV writer, the oracle
 of the writers that render rows themselves, the former row-by-row label
-reader, the oracle of the bulk one, and the former mask-building form of
-`kmeans2_luminance`, through which the 2-means tests read its split."""
+reader, the oracle of the bulk one, the former mask-building form of
+`kmeans2_luminance`, through which the 2-means tests read its split, and the
+former `Path`-based image listing, the oracle of the `scandir` one."""
 
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,3 +122,12 @@ def read_label_csv(path, label_set):
     if not rows:
         raise ValidationError(f"{path}: no rows")
     return rows
+
+
+def list_image_ids(images_dir):
+    """The former `ingest.list_image_ids`: one `Path.is_file()` per entry."""
+    directory = Path(images_dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    return sorted({entry.stem for entry in directory.iterdir()
+                   if entry.is_file() and entry.suffix in (".ppm", ".pgm")})

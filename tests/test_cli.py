@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -650,6 +651,49 @@ def test_threads_zero_means_auto(corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert run(args) == 0
     assert pool_sizes == [3, 5]
+
+
+_IMPORTS_AROUND_RUN = """
+import json, sys
+import argparse, array, csv, numpy
+baseline = set(sys.modules)
+from wbcrescue import cli, rescue
+unused = {"concurrent.futures", "logging", "dataclasses"}
+one_thread = cli.run(["--threads", "1", "evaluate", *sys.argv[1:7]])
+loaded_by_one = sorted(unused & set(sys.modules) - baseline)
+two_threads = cli.run(["--threads", "2", "features", *sys.argv[7:]])
+pool_loaded = "concurrent.futures" in sys.modules
+from concurrent.futures import ThreadPoolExecutor
+print(json.dumps([one_thread, loaded_by_one, two_threads, pool_loaded,
+                  getattr(cli, "ThreadPoolExecutor") is ThreadPoolExecutor,
+                  getattr(rescue, "ThreadPoolExecutor") is ThreadPoolExecutor]))
+"""
+
+
+def test_a_command_imports_the_thread_pool_only_when_it_starts_one(tmp_path):
+    # Taken after what the package needs anyway (argparse, csv, array,
+    # numpy), so that a stdlib whose argparse pulls in one of the three
+    # does not fail the test.
+    write_csv(tmp_path / "pred.csv", ["image_id", "label"], [["a", "SNE"], ["b", "LY"]])
+    images, masks = tmp_path / "images", tmp_path / "masks"
+    images.mkdir()
+    masks.mkdir()
+    pool = sample_pool()
+    for name in ("star_a", "pc_a"):
+        write_pnm(images / f"{name}.ppm", pool[name].pixels)
+        write_pnm(masks / f"{name}.pgm", pool[name].mask.astype(np.uint8) * 255)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AROUND_RUN,
+         "--pred", str(tmp_path / "pred.csv"), "--truth", str(tmp_path / "pred.csv"),
+         "--out", str(tmp_path / "report.txt"),
+         "--images", str(images), "--masks", str(masks), "--out", str(tmp_path / "f.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [0, [], 0, True, True, True], proc.stderr
+    assert len(read_features_csv(tmp_path / "f.csv")) == 2
 
 
 def test_threads_default_to_one():

@@ -25,9 +25,10 @@ from wbcrescue.core import (
     read_keyed_csv,
     write_csv,
 )
-from wbcrescue.ingest import parse_class_counts, parse_prob_table
-from wbcrescue.metrics import read_label_csv
-from wbcrescue.morphology import load_gate, read_features_csv
+from wbcrescue.ingest import CellSample, parse_class_counts, parse_prob_table
+from wbcrescue.metrics import MetricsReport, read_label_csv
+from wbcrescue.morphology import GaussianGate, load_gate, read_features_csv
+from wbcrescue.rescue import BoostFactors, Decisions
 
 import synth
 from reference import csv_module_write
@@ -310,6 +311,58 @@ def test_config_rejects_bad_overrides():
         RescueConfig(boost_overrides={"PLY": 0.5})
     with pytest.raises(ValidationError):
         RescueConfig(boost_overrides={"PLY": 11.0})
+
+
+_PIXELS, _MASK = np.zeros((2, 3, 3), np.uint8), np.ones((2, 3), bool)
+_VECTOR, _MATRIX = np.array([1.0, 2.0]), np.eye(2)
+# Each value type, positional arguments, and the fields they fill in order.
+_VALUE_TYPES = [
+    (LabelSet, [("A", "B")], ["names"]),
+    (ClassCounts, [(3, 1)], ["counts"]),
+    (RescueConfig, [{"PLY"}, {"PLY": 2.0}, 0.25, 0.5, 2.0, 4.0],
+     ["rare_classes", "boost_overrides", "tau", "tau_s", "tau_m", "boost_cap"]),
+    (CellSample, ["a", _PIXELS, _MASK], ["image_id", "pixels", "mask"]),
+    (MetricsReport, [0.5, 0.25, 0.5, 0.75, *[_VECTOR] * 5, 4],
+     ["macro_f1", "balanced_accuracy", "macro_precision", "macro_specificity", "precision",
+      "recall", "f1", "specificity", "support", "total"]),
+    (GaussianGate, [_VECTOR, _MATRIX, _MATRIX, 0.0, 5],
+     ["mean", "covariance", "precision", "ridge", "sample_count"]),
+    (BoostFactors, [[1.0, 2.0], frozenset({1})], ["factors", "rare_indices"]),
+    (Decisions, [["a", "b"], np.array([0, 1]), np.array([-1, 1]), np.array([0, 3], np.int8), {}],
+     ["ids", "base", "candidate", "phase", "outcomes"]),
+]
+
+
+@pytest.mark.parametrize("kind, args, fields", _VALUE_TYPES,
+                         ids=[kind.__name__ for kind, _, _ in _VALUE_TYPES])
+def test_value_types_construct_as_before_and_are_immutable(kind, args, fields):
+    value = kind(*args)
+    shown = repr(value)
+    assert shown == repr(kind(**dict(zip(fields, args))))
+    assert shown.startswith(f"{kind.__name__}({fields[0]}=")
+    assert not hasattr(value, "__dict__")
+    for name in [*fields, "added"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == shown
+
+
+def test_value_types_compare_as_before():
+    assert LabelSet(["A", "B"]) == LabelSet(("A", "B"))
+    assert hash(LabelSet(["A", "B"])) == hash(LabelSet(("A", "B")))
+    assert LabelSet(["A", "B"]) != LabelSet(["B", "A"])
+    assert LabelSet(["A", "B"]) != ("A", "B")
+    assert ClassCounts((3, 1)) == ClassCounts((3, 1)) != ClassCounts((1, 3))
+    first, second = RescueConfig(), RescueConfig()
+    assert first == second and first != RescueConfig(tau=0.25)
+    assert first.boost_overrides == {} and first.boost_overrides is not second.boost_overrides
+    overrides = {"PLY": 2.0}
+    assert RescueConfig(boost_overrides=overrides).boost_overrides is not overrides
+    decisions = [Decisions(*_VALUE_TYPES[-1][1]) for _ in range(2)]
+    assert decisions[0] == decisions[0] and decisions[0] != decisions[1]
+    assert len(set(decisions)) == 2
 
 
 def test_config_file_round_trip(tmp_path, labels13):

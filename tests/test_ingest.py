@@ -27,6 +27,7 @@ from wbcrescue.ingest import (
 )
 from wbcrescue.netpbm import read_pnm, write_pnm
 
+import reference
 from reference import csv_module_write
 from synth import write_csv
 
@@ -968,6 +969,64 @@ def test_ids_holding_a_path_separator_have_no_image(tmp_path, spelling):
     }[spelling]
     with pytest.raises(SampleNotFoundError, match="no image for"):
         find_image(images, image_id)
+
+
+def _make_entry(directory, name, kind):
+    """Create `name` in `directory` as a file, a directory, or a symlink to
+    a file, to a directory, to nowhere, to itself (a loop), or through a
+    file (ENOTDIR)."""
+    path = directory / name
+    if kind == "file":
+        path.write_bytes(b"")
+    elif kind == "dir":
+        path.mkdir()
+    else:
+        target = {"to file": "target-file", "to dir": "target-dir", "broken": "nowhere",
+                  "loop": name, "through file": "target-file/x"}[kind]
+        path.symlink_to(target)
+
+
+_ENTRY_KINDS = ["file", "dir", "to file", "to dir", "broken", "loop", "through file"]
+
+
+def _listing_dir(directory):
+    directory.mkdir(exist_ok=True)
+    (directory / "target-file").write_bytes(b"")
+    (directory / "target-dir").mkdir()
+    return directory
+
+
+def test_list_image_ids_reads_names_and_links_as_path_does(tmp_path):
+    images = _listing_dir(tmp_path / "images")
+    entries = {
+        "a.ppm": "file", "b.pgm": "file", "c.ppm": "file", "c.pgm": "file", "a.b.ppm": "file",
+        "..ppm": "file", ".ppm": "file", ".pgm": "file", "x.PPM": "file", "y.ppm.bak": "file",
+        "ppm": "file", "d.ppm": "dir", "s.ppm": "to file", "sd.pgm": "to dir",
+        "broken.ppm": "broken", "loop.ppm": "loop", "nd.ppm": "through file",
+    }
+    for name, kind in entries.items():
+        _make_entry(images, name, kind)
+    expected = [".", "a", "a.b", "b", "c", "s"]
+    assert list_image_ids(images) == reference.list_image_ids(images) == expected
+    assert list_image_ids(str(images)) == expected
+    for path in (images / "a.ppm", tmp_path / "missing"):
+        for lister in (list_image_ids, reference.list_image_ids):
+            with pytest.raises(NotADirectoryError, match=f"^{re.escape(str(path))} is not"):
+                lister(path)
+
+
+@given(st.dictionaries(
+    st.builds(lambda stem, suffix: "".join(stem) + suffix,
+              st.lists(st.sampled_from("ab.pgmPG"), max_size=4),
+              st.sampled_from(["", ".ppm", ".pgm", ".PGM", ".ppm.", "ppm"])),
+    st.sampled_from(_ENTRY_KINDS), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_list_image_ids_matches_the_path_listing(tmp_path_factory, entries):
+    images = _listing_dir(tmp_path_factory.mktemp("images"))
+    for name, kind in entries.items():
+        if name not in ("", ".", ".."):
+            _make_entry(images, name, kind)
+    assert list_image_ids(images) == reference.list_image_ids(images)
 
 
 def test_dot_ids_name_files_inside_the_directory(tmp_path):

@@ -243,15 +243,15 @@ def test_phase3_denies_a_cell_of_non_finite_luminance(gate, levels):
 @pytest.mark.parametrize("make", [_spiky_sample, _round_sample])
 def test_shape_filters_keep_no_state_on_the_sample(gate, make):
     sample = make()
-    attributes = dict(vars(sample))
+    attributes = {name: getattr(sample, name) for name in type(sample).__slots__}
     pixels, mask = sample.pixels.tobytes(), sample.mask.tobytes()
     spikiness(trace_contour(sample.mask))
     kmeans2_luminance(sample)
     morph_vector(sample)
     for name in ("PLY", "PC"):
         phase3_filter(name, sample, gate, RescueConfig())
-    assert vars(sample).keys() == attributes.keys()
-    assert all(vars(sample)[key] is value for key, value in attributes.items())
+    assert not hasattr(sample, "__dict__")  # no room for state beyond its fields
+    assert all(getattr(sample, key) is value for key, value in attributes.items())
     assert sample.pixels.tobytes() == pixels
     assert sample.mask.tobytes() == mask
 
