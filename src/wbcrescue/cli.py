@@ -114,6 +114,14 @@ def _atomic(path):
         raise
 
 
+def _refuse_one_file(args, first: str, second: str) -> None:
+    """Refuse, before any work, two outputs that name one file."""
+    a, b = getattr(args, first), getattr(args, second)
+    with suppress(OSError):  # a file that does not exist yet is no hard link
+        if b and (os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)):
+            raise ValidationError(f"--{first} and --{second} name the same file {b}")
+
+
 def _info(args, message: str) -> None:
     """Write a progress line to stderr, only under --verbose."""
     if args.verbose:
@@ -149,6 +157,7 @@ def _no_sample_dirs(image_id: str):
 
 
 def _cmd_rescue(args) -> int:
+    _refuse_one_file(args, "out", "trace")
     if bool(args.images) != bool(args.masks):
         given, missing = ("--images", "--masks") if args.images else ("--masks", "--images")
         raise ValidationError(f"{given} was given without {missing}")
@@ -201,10 +210,10 @@ def _cmd_calibrate_spikiness(args) -> int:
     rows = read_features_csv(args.features)
     threshold = calibrate_spikiness_threshold([spike for _, _, spike in rows], args.k)
     line = f"tau_s = {threshold:.9g}"
-    print(line)
-    if args.out:
+    if args.out:  # written before printing, so a failed write prints nothing
         with _atomic(args.out) as tmp:
             Path(tmp).write_text(line + "\n", encoding="utf-8")
+    print(line)
     return 0
 
 
@@ -272,6 +281,7 @@ def _cmd_inject_noise(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _refuse_one_file(args, "out", "confusion")
     label_set = _load_labels(args)
     report, confusion = evaluate(args.pred, args.truth, label_set)
     text = format_report(report, label_set)

@@ -33,26 +33,14 @@ def luminance(pixels) -> np.ndarray:
     )
 
 
-def largest_foreground_component(mask) -> np.ndarray:
-    """Boolean mask of the largest 8-connected foreground component.
-
-    Ties go to the component encountered first in row-major scan order.
-
-    Run-based two-pass labelling (He, Chao & Suzuki, IEEE TIP 2008): the
-    horizontal runs of foreground pixels are the units, and runs of adjacent
-    rows that touch are merged with union-find. Each merge keeps the lower
-    run index as the root, so a component's root is its first run in
-    row-major order and `argmax` over the per-root sizes applies the tie rule.
-
-    The runs are read from flat indices of the `(H, W + 1)` edge array, one
-    row-major pass each for starts and ends; a run's start and exclusive end
-    lie in the same row, so its length is the difference of their indices.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValidationError("mask must be a 2-D array")
-    if not mask.any():
-        raise ValidationError("empty mask")
+def _run_roots(mask: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The root and the length of each horizontal run of a 2-D boolean mask,
+    in row-major order: run-based two-pass labelling (He, Chao & Suzuki, IEEE
+    TIP 2008). Runs of adjacent rows are merged with union-find when they
+    share a column or, with `diagonal` (8-connectivity), meet at a corner;
+    the lower run index stays the root, so a component's root is its first
+    run. The runs come from flat indices of the `(H, W + 1)` edge array, and
+    a run's start and exclusive end lie in one row."""
     height, width = mask.shape
     framed = np.zeros((height, width + 2), dtype=np.int8)
     framed[:, 1:-1] = mask
@@ -60,9 +48,9 @@ def largest_foreground_component(mask) -> np.ndarray:
     first = np.flatnonzero(edges == 1)
     lengths = np.flatnonzero(edges == -1) - first  # ends are paired with starts in order
     rows, starts = np.divmod(first, width + 1)
-    ends = starts + lengths
     row_first = np.searchsorted(rows, np.arange(height + 1)).tolist()
-    s, e = starts.tolist(), ends.tolist()
+    # Each run reaches one column past its end when corners count.
+    s, e = starts.tolist(), (starts + lengths + diagonal).tolist()
     parent = list(range(len(s)))
 
     def find(k: int) -> int:
@@ -75,9 +63,7 @@ def largest_foreground_component(mask) -> np.ndarray:
         i, i_stop = row_first[y - 1], row_first[y]
         j, j_stop = i_stop, row_first[y + 1]
         while i < i_stop and j < j_stop:
-            # 8-connectivity: the runs touch when they overlap or meet at a
-            # diagonal, i.e. each starts no later than the other's end.
-            if s[j] <= e[i] and s[i] <= e[j]:
+            if s[j] < e[i] and s[i] < e[j]:  # each starts before the other's reach
                 a, b = find(i), find(j)
                 if a < b:
                     parent[b] = a
@@ -88,103 +74,104 @@ def largest_foreground_component(mask) -> np.ndarray:
                 i += 1
             else:
                 j += 1
-    roots = np.array([find(k) for k in range(len(s))])
+    return np.array([find(k) for k in range(len(s))]), lengths
+
+
+def largest_foreground_component(mask) -> np.ndarray:
+    """Boolean mask of the largest 8-connected foreground component. Ties go
+    to the component that comes first in row-major order: its root is the
+    lower run, so `argmax` over the sizes per root finds it first."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValidationError("mask must be a 2-D array")
+    if not mask.any():
+        raise ValidationError("empty mask")
+    roots, lengths = _run_roots(mask, diagonal=True)
     if not roots.any():  # every run joined run 0: the mask is one component
         return mask.copy()
-    sizes = np.bincount(roots, weights=lengths)
-    keep = roots == int(np.argmax(sizes))
+    keep = roots == int(np.argmax(np.bincount(roots, weights=lengths)))
     # The runs list the foreground pixels in row-major order, as the mask does.
     component = np.zeros_like(mask)
     component[mask] = np.repeat(keep, lengths)
     return component
 
 
-# Moore neighborhood in clockwise order (image coordinates, y grows down),
-# starting at the west neighbor; offsets are (dx, dy). Bit k of a pixel's
-# neighbor code is set when its neighbor in direction k is foreground.
-_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
+class Contour(NamedTuple):
+    """An outer boundary as `trace_contour` measures it."""
+
+    axial: int  # unit steps
+    diagonal: int  # diagonal steps
+    extremes: np.ndarray  # each column's top and bottom pixel: distinct (x, y), sorted
 
 
-def _next_direction_table() -> bytes:
-    """Entry `code * 8 + back`: the first direction clockwise after `back`
-    whose bit is set in `code`. Code 0, an isolated pixel, is never walked."""
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    order = (np.arange(8)[:, None] + np.arange(1, 9)) % 8  # [back, turn - 1]
-    first_turn = np.argmax(bits[:, order], axis=2)  # [code, back]
-    return order[np.arange(8), first_turn].astype(np.uint8).tobytes()
+def _bit_quads(padded: np.ndarray) -> tuple[int, int, int]:
+    """`(axial, diagonal, euler)` from the 2x2 windows of a 0/1 uint8 raster
+    framed by background: Gray's bit-quads (S. B. Gray, "Local properties of
+    binary images in two dimensions", IEEE Trans. Computers, 1971), told apart
+    by their pixel count; a window of two is a diagonal pair when its opposite
+    corners agree. `euler` is Gray's 8-connected (n1 - n3 - 2 nD) / 4,
+    components less holes.
 
-
-_NEXT_DIRECTION = _next_direction_table()
-# After a move in direction k the backtrack is the neighbor examined just
-# before, direction k - 1 of the old pixel: _MOORE[k - 1] - _MOORE[k] as
-# seen from the new one.
-_BACKTRACK_AFTER = tuple(
-    _MOORE.index((_MOORE[k - 1][0] - _MOORE[k][0], _MOORE[k - 1][1] - _MOORE[k][1]))
-    for k in range(8)
-)
-
-
-def trace_contour(mask) -> np.ndarray:
-    """Moore-neighbor boundary trace of the mask's largest component.
-
-    Returns the closed boundary as an (n, 2) array of (x, y) coordinates,
-    starting at the topmost-then-leftmost boundary pixel. Thin protrusions
-    are walked out and back, so their pixels appear twice; an isolated
-    pixel yields a single-point contour. The walk is a deterministic state
-    machine over (pixel, backtrack) pairs and stops when a state repeats,
-    which closes the boundary cycle even for degenerate one-pixel-wide
-    shapes.
-
-    The component is padded by one background pixel, so no step leaves the
-    array, and each pixel's 8-neighbor code is computed up front; a state is
-    the integer `pixel * 8 + backtrack` over the padded raster, and the next
-    direction is one lookup in `_NEXT_DIRECTION`.
+    The weights count the steps of the Moore walk. Put each pixel at its
+    centre, so that the windows are the unit squares between centres. The walk
+    keeps the outside on one hand and steps to the first foreground neighbour,
+    so each step crosses the window of the background it turned past. If both
+    of that window's other pixels are background, it holds two 4-adjacent
+    pixels and the step is its side: 1 to `axial`. If one is foreground, it
+    holds three and the step cuts its empty corner: 1 to `diagonal`. A window
+    of a diagonal pair is a pinch, passed once on each side: 2 to `diagonal`.
+    A window of one pixel is a corner turned in place. A one-pixel spur is
+    walked out and back, so the windows on both of its sides count. The walk
+    sees only the outer boundary, so the counts match it once holes are filled.
     """
+    pairs = padded[:, :-1] + padded[:, 1:]
+    held = pairs[:-1] + pairs[1:]
+    two = held == 2
+    crossed = np.count_nonzero(two & (padded[:-1, :-1] == padded[1:, 1:]))  # nD
+    ones, threes = np.count_nonzero(held == 1), np.count_nonzero(held == 3)
+    euler = (ones - threes - 2 * crossed) // 4
+    return np.count_nonzero(two) - crossed, 2 * crossed + threes, euler
+
+
+def trace_contour(mask) -> Contour:
+    """Measure the outer boundary of the mask's largest 8-connected component,
+    cropped to its bounding box and framed by background, without walking it
+    (`_bit_quads`). Holes are filled only when the Euler number shows some.
+    That moves no column's top or bottom pixel: a hole pixel has the component
+    above and below it, or its background would reach the frame."""
     component = largest_foreground_component(mask)
-    padded = np.zeros((component.shape[0] + 2, component.shape[1] + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = component
-    width = padded.shape[1]
-    flat = padded.ravel()
-    size = len(flat)
-    # Codes of every pixel but the top and bottom pad rows; those of the pad
-    # columns wrap around the rows and are wrong, but no walk reaches them.
-    codes = np.zeros_like(flat)
-    inner = codes[width + 1 : size - width - 1]
-    for dx, dy in reversed(_MOORE):  # Horner's rule: bit k is doubled k times
-        inner += inner
-        inner |= flat[width + 1 + dy * width + dx : size - width - 1 + dy * width + dx]
-    start = int(np.argmax(flat))
-    if not codes[start]:
-        return np.array([[start % width - 1, start // width - 1]], dtype=np.int64)
-    code_of = codes.tobytes()
-    moves = [((dy * width + dx) << 3) + _BACKTRACK_AFTER[k] for k, (dx, dy) in enumerate(_MOORE)]
-    # Backtrack 0, the west neighbor, is background: it comes earlier in the scan.
-    state = start << 3
-    seen: dict[int, int] = {}
-    while state not in seen:
-        seen[state] = len(seen)
-        pixel = state >> 3
-        state = (pixel << 3) + moves[_NEXT_DIRECTION[code_of[pixel] << 3 | state & 7]]
-    cycle = np.array(list(seen)[seen[state]:], dtype=np.int64) >> 3
-    pivot = int(np.argmin(cycle))  # flat indices sort topmost-then-leftmost
-    ys, xs = np.divmod(np.roll(cycle, -pivot), width)
-    return np.stack([xs - 1, ys - 1], axis=1)
+    rows = np.flatnonzero(component.any(axis=1))
+    cropped = component[rows[0] : rows[-1] + 1]
+    columns = np.flatnonzero(cropped.any(axis=0))  # an interval: the component is connected
+    cropped = cropped[:, columns[0] : columns[-1] + 1]
+    height, width = cropped.shape
+    padded = np.zeros((height + 2, width + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = cropped
+    axial, diagonal, euler = _bit_quads(padded)
+    if euler != 1:  # fill what the frame's 4-connected background, rooted at run 0, misses
+        background = padded == 0
+        roots, lengths = _run_roots(background, diagonal=False)
+        padded[background] = np.repeat(roots != 0, lengths)
+        axial, diagonal, _ = _bit_quads(padded)
+    xs = np.arange(columns[0], columns[-1] + 1, dtype=np.int64)
+    top, bottom = rows[0] + cropped.argmax(axis=0), rows[-1] - cropped[::-1].argmax(axis=0)
+    ends = np.stack((xs, top, xs, bottom), axis=1).reshape(width, 2, 2)  # [x, top or bottom]
+    distinct = np.stack((np.ones(width, dtype=bool), top != bottom), axis=1)
+    return Contour(int(axial), int(diagonal), ends[distinct])
 
 
-def _distinct_points(points) -> np.ndarray:
-    """The distinct rows of (n, 2) integer points, sorted by (x, y)."""
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    first = np.ones(len(pts), dtype=bool)
-    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    return pts[first]
-
-
-def _chain(points: list[list[int]]) -> list[list[int]]:
+def _chain(points: np.ndarray) -> list[list[int]]:
     """One monotone chain: each point in turn, after dropping the chain's
-    last points while they do not turn strictly left towards it."""
+    last points while they do not turn strictly left towards it. One NumPy
+    pass first drops the inner points that do not turn strictly left from
+    their neighbours, which are no strict vertices; its products are exact
+    in int64 for coordinates that span less than 2**31."""
+    if len(points) > 2 and int(points.max()) - int(points.min()) < 2**31:
+        step = np.diff(points, axis=0)  # (a - o) x (b - o) == (a - o) x (b - a)
+        turns = step[:-1, 0] * step[1:, 1] > step[:-1, 1] * step[1:, 0]
+        points = points[np.concatenate(([True], turns, [True]))]
     chain: list[list[int]] = []
-    for p in points:
+    for p in points.tolist():
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
             if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
@@ -206,40 +193,42 @@ def _hull_of_distinct(pts: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return np.array(pts.tolist(), dtype=np.int64)
     column_edge = pts[1:, 0] != pts[:-1, 0]
-    minima = pts[np.concatenate(([True], column_edge))].tolist()
-    maxima = pts[np.concatenate((column_edge, [True]))].tolist()
-    lower = _chain(minima + maxima[-1:])
-    upper = _chain(maxima[::-1] + minima[:1])
+    minima = pts[np.concatenate(([True], column_edge))]
+    maxima = pts[np.concatenate((column_edge, [True]))]
+    lower = _chain(np.concatenate((minima, maxima[-1:])))
+    upper = _chain(np.concatenate((maxima[::-1], minima[:1])))
     return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
 
 
 def polygon_perimeter(points) -> float:
-    """Length of the closed polygonal cycle through the given points.
-
-    Summed with fsum so the result depends only on the multiset of segment
-    lengths, keeping scores bit-identical under translation and mirroring.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) < 2:
-        return 0.0
-    closed = np.vstack([pts, pts[:1]])
-    deltas = np.diff(closed, axis=0)
+    """Length of the closed polygonal cycle through the given points, summed
+    with fsum so that it depends only on the multiset of segment lengths:
+    scores stay bit-identical under translation and mirroring."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    deltas = np.diff(pts, axis=0, append=pts[:1])
     return math.fsum(np.hypot(deltas[:, 0], deltas[:, 1]).tolist())
 
 
-def spikiness(contour) -> float:
+# fl(sqrt(2)), the length np.hypot gives a diagonal step, as a ratio of ints.
+_ROOT2_NUMERATOR, _ROOT2_DENOMINATOR = math.sqrt(2.0).as_integer_ratio()
+
+
+def spikiness(contour: Contour) -> float:
     """Contour irregularity: boundary length over convex hull length, minus 1.
 
-    Zero for convex shapes (the boundary already is its hull); grows as
-    protrusions lengthen the boundary faster than the hull. Contours with
-    fewer than 3 distinct points are degenerate and score 0; the hull of any
-    other keeps its first and last distinct point, so its perimeter is >= 2.
+    Zero for convex shapes; grows as protrusions lengthen the boundary faster
+    than the hull. Fewer than 3 distinct extremes score 0; the hull of more
+    keeps the first and the last, so its perimeter is >= 2. Each strict vertex
+    of the boundary's hull is a column extreme, so the hulls are the same.
+    The length is `axial + diagonal * fl(sqrt(2))` rounded once, as `fsum`
+    over the walk's steps rounds it, where a float product would round twice:
+    an int over an int is correctly rounded, as in `float(Fraction(...))`.
     """
-    distinct = _distinct_points(contour)
-    if len(distinct) < 3:
+    if len(contour.extremes) < 3:
         return 0.0
-    hull_perimeter = polygon_perimeter(_hull_of_distinct(distinct))
-    return max(0.0, polygon_perimeter(contour) / hull_perimeter - 1.0)
+    hull_perimeter = polygon_perimeter(_hull_of_distinct(contour.extremes))
+    scaled = contour.axial * _ROOT2_DENOMINATOR + contour.diagonal * _ROOT2_NUMERATOR
+    return max(0.0, scaled / _ROOT2_DENOMINATOR / hull_perimeter - 1.0)
 
 
 def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:

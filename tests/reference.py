@@ -1,10 +1,13 @@
 """The straight-line restatement of the three-phase decision, and the cells
 and gate it is checked on; shared by the acceptance criteria and the
-CLI-level oracle. Also the former `csv.writer`-based CSV writer, the oracle
-of the writers that render rows themselves, the former row-by-row label
-reader, the oracle of the bulk one, the former mask-building form of
-`kmeans2_luminance`, through which the 2-means tests read its split, and the
-former `Path`-based image listing, the oracle of the `scandir` one."""
+CLI-level oracle. Its spikiness is the former contour form, a Moore walk of
+the boundary and the monotone chain over all its distinct points: the oracle
+of the bit-quad counts and the column-extreme hull. Also the former
+`csv.writer`-based CSV writer, the oracle of the writers that render rows
+themselves, the former row-by-row label reader, the oracle of the bulk one,
+the former mask-building form of `kmeans2_luminance`, through which the
+2-means tests read its split, and the former `Path`-based image listing, the
+oracle of the `scandir` one."""
 
 from __future__ import annotations
 
@@ -18,13 +21,106 @@ from wbcrescue.core import ValidationError, read_keyed_csv
 from wbcrescue.morphology import (
     fit_gaussian_gate,
     kmeans2_luminance,
+    largest_foreground_component,
     mahalanobis,
     morph_vector,
-    spikiness,
-    trace_contour,
+    polygon_perimeter,
 )
 
 from synth import cell_sample, disc_mask, eccentric_cell, gray_sample, star_mask
+
+
+# Moore neighborhood in clockwise order (image coordinates, y grows down),
+# starting at the west neighbor; offsets are (dx, dy).
+_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
+_MOORE_INDEX = {offset: i for i, offset in enumerate(_MOORE)}
+
+
+def trace_contour(mask):
+    """Moore-neighbor walk of the boundary of the mask's largest component,
+    over (x, y, backtrack x, backtrack y) states with a bounds check per
+    neighbor.
+
+    Returns the closed boundary as an (n, 2) array of (x, y) coordinates,
+    starting at the topmost-then-leftmost boundary pixel. Thin protrusions
+    are walked out and back, so their pixels appear twice; an isolated
+    pixel yields a single-point contour. The walk stops when a state
+    repeats, which closes the cycle even for one-pixel-wide shapes.
+    """
+    component = largest_foreground_component(mask)
+    height, width = component.shape
+    ys, xs = np.nonzero(component)
+    x0, y0 = int(xs[0]), int(ys[0])
+
+    def foreground(x, y):
+        return 0 <= x < width and 0 <= y < height and bool(component[y, x])
+
+    if not any(foreground(x0 + dx, y0 + dy) for dx, dy in _MOORE):
+        return np.array([[x0, y0]], dtype=np.int64)
+
+    def step(cx, cy, bx, by):
+        base = _MOORE_INDEX[(bx - cx, by - cy)]
+        px, py = bx, by
+        for turn in range(1, 9):
+            dx, dy = _MOORE[(base + turn) % 8]
+            nx, ny = cx + dx, cy + dy
+            if foreground(nx, ny):
+                return nx, ny, px, py
+            px, py = nx, ny
+        raise AssertionError("pixel with no foreground neighbor reached tracing")
+
+    # The west neighbor of the first pixel in scan order is background.
+    state = (x0, y0, x0 - 1, y0)
+    seen = {}
+    points = []
+    while state not in seen:
+        seen[state] = len(points)
+        points.append((state[0], state[1]))
+        state = step(*state)
+    cycle = points[seen[state]:]
+    pivot = min(range(len(cycle)), key=lambda i: (cycle[i][1], cycle[i][0]))
+    return np.array(cycle[pivot:] + cycle[:pivot], dtype=np.int64)
+
+
+def distinct_points(points):
+    """The distinct rows of (n, 2) integer points, sorted by (x, y)."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return pts[first]
+
+
+def convex_hull(points):
+    """Monotone chain over every distinct point, counterclockwise from the
+    lowest (x, y), strict vertices only."""
+    pts = [tuple(p) for p in distinct_points(points).tolist()]
+    if len(pts) <= 2:
+        return np.array(pts, dtype=np.int64)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+
+
+def spikiness(contour):
+    """The contour form of `morphology.spikiness`: the walked cycle's length
+    over its hull's, minus 1, and 0 below 3 distinct points."""
+    if len(distinct_points(contour)) < 3:
+        return 0.0
+    hull_perimeter = polygon_perimeter(convex_hull(contour))
+    return max(0.0, polygon_perimeter(contour) / hull_perimeter - 1.0)
 
 
 def sample_pool():

@@ -347,6 +347,52 @@ def test_calibrate_spikiness_rejects_nan_k(tmp_path, capsys):
     assert not tau_out.exists()
 
 
+def test_calibrate_spikiness_prints_nothing_when_its_out_cannot_be_written(tmp_path, capsys):
+    features = write_csv(
+        tmp_path / "features.csv",
+        ["image_id", "nc_ratio", "staining", "centroid_offset", "spikiness"],
+        [["a", "0.5", "0.6", "0.1", "0.02"], ["b", "1.2", "0.3", "0.4", "0.33"]],
+    )
+    tau_out = tmp_path / "nodir" / "tau_s.txt"
+    code = run(["calibrate-spikiness", "--features", str(features), "--out", str(tau_out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert list(tmp_path.iterdir()) == [features]
+
+
+@pytest.mark.parametrize("command", ["rescue", "evaluate"])
+@pytest.mark.parametrize("spelling", ["plain", "dot", "symlink", "hard link", "new", "new dot"])
+def test_two_outputs_naming_one_file_exit_1_before_any_work(tmp_path, capsys, command, spelling):
+    target = tmp_path / "x.csv"
+    if not spelling.startswith("new"):
+        target.write_bytes(b"kept\n")
+    second = {"plain": target, "dot": tmp_path / "." / "x.csv", "symlink": tmp_path / "link.csv",
+              "hard link": tmp_path / "hard.csv", "new": target,
+              "new dot": tmp_path / "." / "x.csv"}[spelling]
+    if spelling == "symlink":
+        second.symlink_to(target)
+    elif spelling == "hard link":
+        os.link(target, second)
+    missing = str(tmp_path / "missing.csv")  # read by any work, which would exit 2
+    if command == "rescue":
+        argv = ["rescue", "--swin", missing, "--med", missing, "--counts", missing,
+                "--out", str(target), "--trace", str(second)]
+        flags = "--out and --trace"
+    else:
+        argv = ["evaluate", "--pred", missing, "--truth", missing,
+                "--out", str(target), "--confusion", str(second)]
+        flags = "--out and --confusion"
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {flags} name the same file {second}\n"
+    if spelling.startswith("new"):
+        assert not list(tmp_path.iterdir())
+    else:
+        assert target.read_bytes() == b"kept\n"
+        assert not list(tmp_path.glob("*.tmp*"))
+
+
 @pytest.mark.parametrize(
     "image_id, gray, mask_value, reason",
     [("b", None, 0, "b: empty mask"), ("c", 90, 255, "c: degenerate luminance distribution")],

@@ -16,17 +16,12 @@ from hypothesis import strategies as st
 
 from wbcrescue.cli import run
 from wbcrescue.core import ENTRY_EPSILON, SUM_DELTA, ValidationError
-from wbcrescue.morphology import (
-    load_gate,
-    mahalanobis,
-    morph_vector,
-    save_gate,
-    spikiness,
-    trace_contour,
-)
+from wbcrescue.morphology import load_gate, mahalanobis, morph_vector, save_gate
 from wbcrescue.netpbm import write_pnm
 
-from reference import argmax_first, pc_gate, reference_decide, sample_pool
+from reference import (
+    argmax_first, pc_gate, reference_decide, sample_pool, spikiness, trace_contour,
+)
 
 POOL = sample_pool()
 _OTHER_CLASSES = ["SNE", "LY", "VLY", "WBC06", "WBC07", "WBC08"]

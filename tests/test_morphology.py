@@ -14,12 +14,12 @@ from wbcrescue import morphology, noise
 from wbcrescue.core import ValidationError
 from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
-    _NEXT_DIRECTION,
     _best_threshold_split,
-    _distinct_points,
+    _bit_quads,
     _hull_of_distinct,
     _invert_spd_3x3,
     LUMA_WEIGHTS,
+    Contour,
     GaussianGate,
     MorphVector,
     calibrate_spikiness_threshold,
@@ -38,7 +38,8 @@ from wbcrescue.morphology import (
     write_features_csv,
 )
 
-from reference import split_masks
+import reference
+from reference import distinct_points, split_masks
 from synth import cell_sample, disc_mask, eccentric_cell, gray_sample, star_mask
 
 
@@ -55,16 +56,21 @@ def test_single_pixel_contour_is_degenerate():
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 1] = True
     contour = trace_contour(mask)
-    assert contour.tolist() == [[1, 1]]
+    assert isinstance(contour, Contour)
+    assert (contour.axial, contour.diagonal) == (0, 0)
+    assert contour.extremes.dtype == np.int64 and contour.extremes.tolist() == [[1, 1]]
     assert spikiness(contour) == 0.0
-    assert polygon_perimeter(contour) == 0.0
+    assert reference.trace_contour(mask).tolist() == [[1, 1]]
 
 
 def test_solid_3x3_square_ring():
-    contour = trace_contour(_rect_mask(3, 3, shape=(5, 5), offset=(0, 0)))
-    assert contour.tolist() == [
+    mask = _rect_mask(3, 3, shape=(5, 5), offset=(0, 0))
+    assert reference.trace_contour(mask).tolist() == [
         [0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1],
     ]
+    contour = trace_contour(mask)
+    assert (contour.axial, contour.diagonal) == (8, 0)
+    assert contour.extremes.tolist() == [[0, 0], [0, 2], [1, 0], [1, 2], [2, 0], [2, 2]]
 
 
 def test_contour_follows_largest_component():
@@ -72,8 +78,9 @@ def test_contour_follows_largest_component():
     mask[1:3, 1:4] = True          # 6 pixels
     mask[5:10, 5:9] = True         # 20 pixels
     contour = trace_contour(mask)
-    xs, ys = contour[:, 0], contour[:, 1]
-    assert xs.min() >= 5 and ys.min() >= 5
+    xs, ys = contour.extremes[:, 0], contour.extremes[:, 1]
+    assert xs.min() == 5 and ys.min() == 5 and xs.max() == 8 and ys.max() == 9
+    assert (contour.axial, contour.diagonal) == (14, 0)
 
 
 def test_largest_component_tie_breaks_by_scan_order():
@@ -94,12 +101,14 @@ def test_mask_must_be_2d():
         largest_foreground_component(np.ones((2, 2, 2), dtype=bool))
 
 
-def _flood_fill_reference(mask):
-    """Pixel-by-pixel 8-connected flood fill, labelling components in
-    row-major order of their first pixel: the oracle for the run-based
-    labelling."""
+def _flood_labels(mask, diagonal=True):
+    """Pixel-by-pixel flood fill, 8-connected or, without `diagonal`,
+    4-connected: each pixel's component label, numbered from 1 in row-major
+    order of the components' first pixels, and the component sizes, with a
+    0 first for the label of background."""
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if diagonal or not dy or not dx]
     labels = np.zeros((height, width), dtype=np.int32)
     sizes = [0]  # label 0 is background
     for y, x in zip(*np.nonzero(mask)):
@@ -112,18 +121,19 @@ def _flood_fill_reference(mask):
         while stack:
             cy, cx = stack.pop()
             count += 1
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    ny, nx = cy + dy, cx + dx
-                    if (
-                        0 <= ny < height
-                        and 0 <= nx < width
-                        and mask[ny, nx]
-                        and not labels[ny, nx]
-                    ):
-                        labels[ny, nx] = label
-                        stack.append((ny, nx))
+            for dy, dx in steps:
+                ny, nx = cy + dy, cx + dx
+                if 0 <= ny < height and 0 <= nx < width and mask[ny, nx] and not labels[ny, nx]:
+                    labels[ny, nx] = label
+                    stack.append((ny, nx))
         sizes.append(count)
+    return labels, sizes
+
+
+def _flood_fill_reference(mask):
+    """The largest 8-connected component by flood fill, the first in
+    row-major order on a tie: the oracle for the run-based labelling."""
+    labels, sizes = _flood_labels(mask)
     return labels == int(np.argmax(sizes))
 
 
@@ -305,7 +315,7 @@ def test_contour_is_closed_8_connected_cycle():
     for _ in range(25):
         mask = rng.random((14, 14)) < 0.45
         mask[6, 6] = True
-        contour = trace_contour(mask)
+        contour = reference.trace_contour(mask)
         if len(contour) == 1:
             continue
         closed = np.vstack([contour, contour[:1]])
@@ -317,65 +327,32 @@ def test_contour_is_closed_8_connected_cycle():
 def test_thin_line_walks_out_and_back():
     mask = np.zeros((3, 6), dtype=bool)
     mask[1, 0:5] = True
+    assert polygon_perimeter(reference.trace_contour(mask)) == pytest.approx(8.0)
     contour = trace_contour(mask)
-    assert polygon_perimeter(contour) == pytest.approx(8.0)
+    assert (contour.axial, contour.diagonal) == (8, 0)
     assert spikiness(contour) == 0.0
 
 
-_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
-_MOORE_INDEX = {offset: i for i, offset in enumerate(_MOORE)}
+def _column_extremes(points):
+    """Each column's lowest and highest y among the points, distinct, sorted."""
+    pts = distinct_points(points)
+    edge = pts[1:, 0] != pts[:-1, 0]
+    return pts[np.concatenate(([True], edge)) | np.concatenate((edge, [True]))]
 
 
-def _moore_walk_reference(mask):
-    """Moore-neighbor walk over (x, y, backtrack x, backtrack y) tuples with
-    a bounds check per neighbor: the oracle for the table-driven walk."""
-    component = largest_foreground_component(mask)
-    height, width = component.shape
-    ys, xs = np.nonzero(component)
-    x0, y0 = int(xs[0]), int(ys[0])
-
-    def foreground(x, y):
-        return 0 <= x < width and 0 <= y < height and bool(component[y, x])
-
-    if not any(foreground(x0 + dx, y0 + dy) for dx, dy in _MOORE):
-        return np.array([[x0, y0]], dtype=np.int64)
-
-    def step(cx, cy, bx, by):
-        base = _MOORE_INDEX[(bx - cx, by - cy)]
-        px, py = bx, by
-        for turn in range(1, 9):
-            dx, dy = _MOORE[(base + turn) % 8]
-            nx, ny = cx + dx, cy + dy
-            if foreground(nx, ny):
-                return nx, ny, px, py
-            px, py = nx, ny
-        raise AssertionError("pixel with no foreground neighbor reached tracing")
-
-    state = (x0, y0, x0 - 1, y0)
-    seen = {}
-    points = []
-    while state not in seen:
-        seen[state] = len(points)
-        points.append((state[0], state[1]))
-        state = step(*state)
-    cycle = points[seen[state]:]
-    pivot = min(range(len(cycle)), key=lambda i: (cycle[i][1], cycle[i][0]))
-    return np.array(cycle[pivot:] + cycle[:pivot], dtype=np.int64)
-
-
-def _assert_same_contour(mask):
+def _assert_measures_the_walk(mask):
+    """The counts are the walk's unit and diagonal steps, the extremes are
+    its points' column extremes, and the spikiness is the reference's."""
     contour = trace_contour(mask)
-    expected = _moore_walk_reference(mask)
-    assert contour.dtype == np.int64 and contour.shape == expected.shape
-    assert np.array_equal(contour, expected)
+    walk = reference.trace_contour(mask)
+    steps = np.abs(np.diff(np.vstack([walk, walk[:1]]), axis=0)).sum(axis=1)
+    assert type(contour.axial) is int and type(contour.diagonal) is int
+    assert contour.axial == np.count_nonzero(steps == 1)
+    assert contour.diagonal == np.count_nonzero(steps == 2)
+    assert contour.extremes.dtype == np.int64
+    assert np.array_equal(contour.extremes, _column_extremes(walk))
+    assert spikiness(contour) == reference.spikiness(walk)
     return contour
-
-
-def test_next_direction_table_is_first_foreground_clockwise():
-    for code in range(1, 256):
-        for back in range(8):
-            turn = next(t for t in range(1, 9) if code >> (back + t) % 8 & 1)
-            assert _NEXT_DIRECTION[code * 8 + back] == (back + turn) % 8, (code, back)
 
 
 def _from_rows(*rows):
@@ -398,37 +375,126 @@ _WALK_CASES = {
     "thin ring with a hole": _from_rows(".#.", "#.#", ".#."),
     "touching all borders": _from_rows("..#..", "..#..", "#####", "..#..", "..#.."),
     "full raster": np.ones((4, 5), dtype=bool),
+    "two holes": _from_rows("#######", "#.###.#", "#######"),
+    "hole holding debris": _from_rows("#######", "#.....#", "#..#..#", "#.....#", "#######"),
+    "hole that leaks at a corner": _from_rows("####.", "#..#.", "####.", "....."),
+    "holes under a spur": _from_rows("...#...", "#######", "#.#.#.#", "#######"),
 }
 
 
 @pytest.mark.parametrize("name", list(_WALK_CASES))
 def test_contour_walk_explicit_cases(name):
-    _assert_same_contour(_WALK_CASES[name])
+    _assert_measures_the_walk(_WALK_CASES[name])
 
 
 def test_contour_walk_explicit_points():
-    assert trace_contour(_WALK_CASES["1xN"]).tolist() == (
+    walk = reference.trace_contour
+    assert walk(_WALK_CASES["1xN"]).tolist() == (
         [[x, 0] for x in range(6)] + [[x, 0] for x in range(4, 0, -1)]
     )
-    assert trace_contour(_WALK_CASES["Nx1"]).tolist() == (
+    assert walk(_WALK_CASES["Nx1"]).tolist() == (
         [[0, y] for y in range(5)] + [[0, y] for y in range(3, 0, -1)]
     )
-    assert trace_contour(_WALK_CASES["single pixel"]).tolist() == [[0, 0]]
-    assert trace_contour(_WALK_CASES["thin ring with a hole"]).tolist() == [
+    assert walk(_WALK_CASES["single pixel"]).tolist() == [[0, 0]]
+    assert walk(_WALK_CASES["thin ring with a hole"]).tolist() == [
         [1, 0], [2, 1], [1, 2], [0, 1],
     ]
-    assert trace_contour(_WALK_CASES["spur out and back"]).tolist() == [
+    # The hole is filled first: a plus of five pixels, four diagonal steps.
+    assert trace_contour(_WALK_CASES["thin ring with a hole"])[:2] == (0, 4)
+    assert walk(_WALK_CASES["spur out and back"]).tolist() == [
         [1, 1], [2, 1], [3, 2], [4, 2], [5, 2], [4, 2], [3, 2], [2, 3], [1, 3], [1, 2],
     ]
+
+
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_line_counts_pin_both_sides(length):
+    for mask in (np.ones((1, length), dtype=bool), np.ones((length, 1), dtype=bool)):
+        contour = trace_contour(mask)
+        assert (contour.axial, contour.diagonal) == (2 * (length - 1), 0)
+        assert spikiness(contour) == 0.0
+    assert trace_contour(np.eye(length, dtype=bool))[:2] == (0, 2 * (length - 1))
 
 
 @given(_random_masks())
 @settings(max_examples=300, deadline=None)
 def test_contour_matches_moore_walk(mask):
-    contour = _assert_same_contour(mask)
-    flipped = mask[::-1, ::-1]  # a non-contiguous view
-    assert np.array_equal(trace_contour(flipped), _moore_walk_reference(flipped))
-    assert spikiness(contour) == _spikiness_reference(contour)
+    _assert_measures_the_walk(mask)
+    _assert_measures_the_walk(mask[::-1, ::-1])  # a non-contiguous view
+
+
+@st.composite
+def _cell_masks(draw):
+    """Cell-like masks: a filled rectangle, disc or star, with holes, one-pixel
+    spurs, single pixels and debris blobs drawn in, or a lone pixel or line."""
+    side = draw(st.integers(1, 30))
+    mask = np.zeros((side + 8, side + 8), dtype=bool)
+    kind = draw(st.sampled_from(["rectangle", "disc", "star"] * 2 + ["pixel", "row", "column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    middle = (side + 7) / 2.0
+    if kind == "rectangle":
+        mask[4 : 4 + side, 4 : 4 + draw(st.integers(1, side))] = True
+    elif kind in ("disc", "star"):
+        yy, xx = np.mgrid[: side + 8, : side + 8]
+        angle, radius = np.arctan2(yy - middle, xx - middle), np.hypot(yy - middle, xx - middle)
+        wave = draw(st.floats(0.0, 0.4)) * np.cos(draw(st.integers(3, 9)) * angle)
+        mask = radius <= (side / 2.0) * (1.0 + (wave if kind == "star" else 0.0))
+    elif kind == "pixel":
+        mask[4, 4] = True
+    else:
+        line = mask[4, 4 : 4 + side] if kind == "row" else mask[4 : 4 + side, 4]
+        line[:] = True
+    for change in rng.choice(["hole", "hole", "spur", "pixel"], size=rng.integers(0, 6)):
+        y, x = rng.integers(0, side + 8, size=2)
+        if change == "hole":  # around a foreground pixel, mostly inside the shape
+            inside = np.flatnonzero(mask)
+            if len(inside):
+                y, x = divmod(int(inside[rng.integers(len(inside))]), mask.shape[1])
+            mask[y : y + rng.integers(1, 4), x : x + rng.integers(1, 4)] = False
+        elif change == "spur":
+            dy, dx = ((0, 1), (1, 0), (1, 1), (-1, 1))[rng.integers(4)]
+            for step in range(int(rng.integers(1, 6))):
+                if 0 <= y + step * dy < mask.shape[0] and 0 <= x + step * dx < mask.shape[1]:
+                    mask[y + step * dy, x + step * dx] = True
+        else:
+            mask[y, x] = True
+    if draw(st.booleans()):  # a debris blob in a corner
+        mask[:2, :2] = True
+    if not mask.any():
+        mask[4, 4] = True
+    return mask
+
+
+@given(_cell_masks(), st.integers(0, 5), st.integers(0, 5), st.sampled_from(
+    [(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+@settings(max_examples=300, deadline=None)
+def test_spikiness_from_bit_quads_equals_the_walk(mask, dy, dx, mirror):
+    # `_assert_measures_the_walk` requires the two scores to be equal floats.
+    mask = mask[:: mirror[0], :: mirror[1]]
+    shifted = np.zeros((mask.shape[0] + dy, mask.shape[1] + dx), dtype=bool)
+    shifted[dy:, dx:] = mask
+    for drawn in (mask, shifted):
+        _assert_measures_the_walk(drawn)
+
+
+def _fill_reference(component):
+    """Every pixel that the 4-connected background outside the raster does
+    not reach, by flood fill over the raster framed by one pixel."""
+    framed = np.pad(component, 1)
+    labels, _ = _flood_labels(~framed, diagonal=False)
+    return (labels != labels[0, 0])[1:-1, 1:-1]
+
+
+@given(_random_masks())
+@settings(max_examples=200, deadline=None)
+def test_holes_are_filled_and_counted_as_flood_fill_finds_them(mask):
+    component = largest_foreground_component(mask)
+    padded = np.pad(component, 1).astype(np.uint8)
+    filled = np.pad(_fill_reference(component), 1).astype(np.uint8)
+    # The sizes list a 0 for the label of foreground, then the outside.
+    holes = len(_flood_labels(padded == 0, diagonal=False)[1]) - 2
+    assert _bit_quads(padded)[2] == 1 - holes
+    assert _bit_quads(filled)[2] == 1
+    assert trace_contour(mask)[:2] == _bit_quads(filled)[:2]
 
 
 # ----------------------------------------------------------- spikiness
@@ -466,46 +532,13 @@ def test_spikiness_translation_and_mirror_invariance():
 def convex_hull(points):
     """Monotone-chain hull of integer points, counterclockwise, as
     `spikiness` computes it."""
-    return _hull_of_distinct(_distinct_points(points))
+    return _hull_of_distinct(distinct_points(points))
 
 
 def test_convex_hull_of_square_ring():
-    points = trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1)))
+    points = trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1))).extremes
     hull = convex_hull(points)
     assert set(map(tuple, hull.tolist())) == {(1, 1), (4, 1), (4, 4), (1, 4)}
-
-
-def _hull_reference(points):
-    """Monotone chain over every distinct point: the oracle for the chain fed
-    only the column extremes."""
-    pts = sorted({(int(x), int(y)) for x, y in np.asarray(points)})
-    if len(pts) <= 2:
-        return np.array(pts, dtype=np.int64)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
-
-
-def _spikiness_reference(contour):
-    pts = np.asarray(contour)
-    if len({(int(x), int(y)) for x, y in pts}) < 3:
-        return 0.0
-    hull_perimeter = polygon_perimeter(_hull_reference(pts))
-    if hull_perimeter <= 0.0:
-        return 0.0
-    return max(0.0, polygon_perimeter(pts) / hull_perimeter - 1.0)
 
 
 _point_sets = st.one_of(
@@ -521,25 +554,24 @@ _point_sets = st.one_of(
 def test_convex_hull_matches_full_monotone_chain(points):
     points = np.array(points, dtype=np.int64).reshape(-1, 2)
     hull = convex_hull(points)
-    expected = _hull_reference(points)
+    expected = reference.convex_hull(points)
     assert hull.dtype == np.int64 and hull.shape == expected.shape
     assert np.array_equal(hull, expected)
-    if len(points):
-        assert spikiness(points) == _spikiness_reference(points)
 
 
 def test_hull_and_spikiness_match_oracle_on_stars():
     for amplitude in (0.0, 2.0, 5.0):
-        contour = trace_contour(star_mask(48, 7, 12.0, amplitude))
-        assert np.array_equal(convex_hull(contour), _hull_reference(contour))
-        assert spikiness(contour) == _spikiness_reference(contour)
+        mask = star_mask(48, 7, 12.0, amplitude)
+        contour, walk = trace_contour(mask), reference.trace_contour(mask)
+        assert np.array_equal(convex_hull(contour.extremes), reference.convex_hull(walk))
+        assert spikiness(contour) == reference.spikiness(walk)
 
 
-@given(st.one_of(_point_sets, _random_masks().map(trace_contour)))
+@given(st.one_of(_point_sets, _random_masks().map(lambda mask: trace_contour(mask).extremes)))
 @settings(max_examples=300, deadline=None)
 def test_hull_of_three_distinct_points_has_a_positive_perimeter(points):
     # `spikiness` divides by this perimeter without a zero check.
-    distinct = _distinct_points(points)
+    distinct = distinct_points(points)
     if len(distinct) >= 3:
         assert polygon_perimeter(_hull_of_distinct(distinct)) >= 2.0
 
