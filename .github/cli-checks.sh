@@ -53,6 +53,24 @@ python3 -c 'import sys; sys.stdout.write("image_id,SNE,LY\n" + "".join(f"r{i:04d
 wbcrescue ensemble big1.csv big2.csv --labels labels.txt --out big-mean.csv
 python3 -c 'import sys; sys.stdout.write("image_id,SNE,LY\n" + "".join("r%04d,%.12g,%.12g\n" % (i, m, 1 - m) for i in range(2049) for m in [(i + i * i % 4096) / 8192]))' \
   | diff - big-mean.csv
+# Two identical folds, so each mean is the row as parsed: its cells divided
+# by their sum. They hold 0 and 1, both sides of 1e-4, the value just below
+# 0.1, a tie at the 12th digit and one value per decade, on either side of
+# where the table writer stops rendering from its digit tables. The
+# expected rows come from Python's own `%.12g`.
+python3 -c '
+import numpy
+values = [0.0, 1.0, 5e-05, 1e-4, float(numpy.nextafter(0.1, 0)), (123456789012 + 0.5) / 10**12,
+          *(0.123456789012345 / 10**lead for lead in range(5))]
+rows = [(f"e{i}", v, 1 - v) for i, v in enumerate(values)]
+with open("edge1.csv", "w") as fold:
+    fold.write("image_id,SNE,LY\n" + "".join(f"{i},{a!r},{b!r}\n" for i, a, b in rows))
+with open("edge-expected.csv", "w") as expected:
+    expected.write("image_id,SNE,LY\n" + "".join(
+        "%s,%.12g,%.12g\n" % (i, a / (a + b), b / (a + b)) for i, a, b in rows))'
+cp edge1.csv edge2.csv
+wbcrescue ensemble edge1.csv edge2.csv --labels labels.txt --out edge-mean.csv
+diff edge-expected.csv edge-mean.csv
 printf 'image_id,label\nb,LY\na,SNE\n' > truth-reordered.csv
 wbcrescue evaluate --pred pred.csv --truth truth-reordered.csv --labels labels.txt \
   --out report.txt --confusion confusion.csv

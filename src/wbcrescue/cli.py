@@ -2,9 +2,13 @@
 calibrate-spikiness, features, noise-score, inject-noise, evaluate.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 I/O error.
-Output files are written to a temporary sibling path and renamed into
-place, so failures never leave partial outputs behind; when one image of
-`inject-noise` fails, the copies it already wrote and the directories it
+Output files are written to temporary sibling paths and renamed into
+place only once the command has written all of them, so a failure leaves
+no partial output and no temporary file behind, and each earlier output
+as it was. `rescue --trace` and `evaluate --confusion` rename their two
+files one after the other: only a failure inside those few `os.replace`
+calls can leave a new first file beside an old second one. When one image
+of `inject-noise` fails, the copies it already wrote and the directories it
 made are removed.
 """
 
@@ -102,15 +106,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _atomic(path):
-    """Yield a temporary path that replaces `path` only on success."""
-    target = Path(path)
-    tmp = target.with_name(target.name + f".tmp{os.getpid()}")
+def _atomic(*paths):
+    """Yield a temporary path for each of `paths`, or the path itself where it
+    is None or empty. They replace their targets one after another only once
+    the block has written them all; on any failure each one is removed."""
+    targets = [path and Path(path) for path in paths]
+    tmps = [target and target.with_name(f"{target.name}.tmp{os.getpid()}") for target in targets]
     try:
-        yield tmp
-        os.replace(tmp, target)
+        yield tmps
+        for tmp, target in zip(tmps, targets):
+            if target:
+                os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in filter(None, tmps):
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -180,11 +189,10 @@ def _cmd_rescue(args) -> int:
                              skip_missing=args.skip_missing, threads=args.threads)
     rescued = (decisions.phase == PHASES.index(Phase.RESCUED)).sum()
     _info(args, f"decided {len(decisions)} images, rescued {rescued}")
-    with _atomic(args.out) as tmp:
-        write_predictions_csv(tmp, decisions, label_set)
-    if args.trace:
-        with _atomic(args.trace) as tmp:
-            write_trace_csv(tmp, decisions, label_set)
+    with _atomic(args.out, args.trace) as (out, trace):
+        write_predictions_csv(out, decisions, label_set)
+        if trace:
+            write_trace_csv(trace, decisions, label_set)
     return 0
 
 
@@ -192,7 +200,7 @@ def _cmd_ensemble(args) -> int:
     label_set = _load_labels(args)
     tables = [parse_prob_table(path, label_set) for path in args.inputs]
     merged = average_prob_tables(tables)
-    with _atomic(args.out) as tmp:
+    with _atomic(args.out) as (tmp,):
         write_prob_table(tmp, merged)
     return 0
 
@@ -200,7 +208,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_fit_pc_model(args) -> int:
     rows = read_features_csv(args.features)
     gate = fit_gaussian_gate([vector for _, vector, _ in rows], args.ridge_scale)
-    with _atomic(args.out) as tmp:
+    with _atomic(args.out) as (tmp,):
         save_gate(tmp, gate)
     _info(args, f"fitted gate from {gate.sample_count} samples (ridge {gate.ridge:g})")
     return 0
@@ -211,8 +219,8 @@ def _cmd_calibrate_spikiness(args) -> int:
     threshold = calibrate_spikiness_threshold([spike for _, _, spike in rows], args.k)
     line = f"tau_s = {threshold:.9g}"
     if args.out:  # written before printing, so a failed write prints nothing
-        with _atomic(args.out) as tmp:
-            Path(tmp).write_text(line + "\n", encoding="utf-8")
+        with _atomic(args.out) as (tmp,):
+            tmp.write_text(line + "\n", encoding="utf-8")
     print(line)
     return 0
 
@@ -227,7 +235,7 @@ def _cmd_features(args) -> int:
             return image_id, morph_vector(sample), spikiness(trace_contour(sample.mask))
 
     rows = parallel_map(extract, ids, args.threads)
-    with _atomic(args.out) as tmp:
+    with _atomic(args.out) as (tmp,):
         write_features_csv(tmp, rows)
     return 0
 
@@ -239,7 +247,7 @@ def _cmd_noise_score(args) -> int:
         return image_id, noise_score(read_image_rgb(find_image(args.images, image_id)))
 
     rows = parallel_map(score, ids, args.threads)
-    with _atomic(args.out) as tmp:
+    with _atomic(args.out) as (tmp,):
         write_csv(tmp, ["image_id", "residual"], ((i, f"{r:.6f}") for i, r in rows))
     return 0
 
@@ -263,7 +271,7 @@ def _cmd_inject_noise(args) -> int:
             pixels, args.density, args.salt_ratio, _derive_seed(args.seed, image_id)
         )
         target = out_dir / (image_id + ".ppm")
-        with _atomic(target) as tmp:
+        with _atomic(target) as (tmp,):
             write_pnm(tmp, noisy)
         written.append(target)
 
@@ -285,11 +293,10 @@ def _cmd_evaluate(args) -> int:
     label_set = _load_labels(args)
     report, confusion = evaluate(args.pred, args.truth, label_set)
     text = format_report(report, label_set)
-    with _atomic(args.out) as tmp:
-        Path(tmp).write_text(text, encoding="utf-8")
-    if args.confusion:
-        with _atomic(args.confusion) as tmp:
-            write_confusion_csv(tmp, confusion, label_set)
+    with _atomic(args.out, args.confusion) as (out, matrix):
+        out.write_text(text, encoding="utf-8")
+        if matrix:
+            write_confusion_csv(matrix, confusion, label_set)
     _info(args, f"macro_f1 {report.macro_f1:.6f} over {report.total} samples")
     return 0
 

@@ -314,25 +314,25 @@ def csv_column(values: Sequence[str]) -> Sequence[str]:
     return values
 
 
-def write_csv_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
+def write_csv_lines(path, header: Sequence[str], lines: Iterable[bytes]) -> None:
     r"""Write UTF-8 CSV: the header, then `lines`, each one or more rows
-    already rendered with `csv_field`, every row ending in `\n`."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(_csv_row(header))
+    already rendered with `csv_field` and encoded, every row ending in `\n`."""
+    with open(path, "wb") as handle:
+        handle.write(_csv_row(header).encode())
         handle.writelines(lines)
 
 
 def write_csv_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
     """Write UTF-8 CSV: the header, then the fields `columns[j][i]` of row i."""
     rows = "\n".join(map(",".join, zip(*columns)))
-    write_csv_lines(path, header, [rows, "\n"] if len(columns[0]) else [])
+    write_csv_lines(path, header, [rows.encode(), b"\n"] if len(columns[0]) else [])
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     r"""Write UTF-8 CSV with `\n` row ends, each value as `csv_field` renders
     it. A row of one empty field is written `""`, as `csv` does, so that it
     reads back as a row and not as a blank line."""
-    write_csv_lines(path, header, (_csv_row(row) for row in rows))
+    write_csv_lines(path, header, (_csv_row(row).encode() for row in rows))
 
 
 def _csv_row(row: Sequence[object]) -> str:

@@ -3,6 +3,7 @@ plus arithmetic-mean fusion of multiple probability tables."""
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
 from pathlib import Path
@@ -103,24 +104,103 @@ def _check_prob_rows(path, lines, values, width: int) -> np.ndarray:
     return normalize_probs(matrix, where=lambda row: f"{path}:{lines[row]}")
 
 
+_CHUNK_ROWS = 1024
+_BAND = 0.5 - 2.0 ** -12
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Built on first use: the powers of ten `10**(12 + lead)`; and words of
+    ASCII bytes, in native byte order, for the groups 0-9999 as four digits
+    with their trailing zeros as NUL bytes, then the same groups in full, for
+    the first and the second word of `,0.` and `lead` zeros, and for `\n`."""
+    groups = np.arange(10000)
+    digits = np.empty((2, 10000, 4), np.uint8)
+    for place in range(4):
+        digits[:, :, place] = 48 + groups // 10 ** (3 - place) % 10
+        digits[0, groups % 10 ** (4 - place) == 0, place] = 0
+    prefix = np.zeros((4, 8), np.uint8)
+    for lead in range(4):
+        prefix[lead, :3 + lead] = np.frombuffer((",0." + "0" * lead).encode(), np.uint8)
+    first, second = prefix.view(np.uint32).T.copy()
+    scale, newline = np.array([1e12, 1e13, 1e14, 1e15]), np.frombuffer(b"\n\0\0\0", np.uint32)
+    return scale, digits.view(np.uint32).ravel(), first, second, newline
+
+
+def _render_rows(ids: Sequence[str], matrix: np.ndarray, template: str) -> list[bytes]:
+    """The rows `template % (ids[i], *matrix[i])`, UTF-8 encoded, as pieces
+    to write in order. A row whose cells are all certified (see
+    `write_prob_table`) is laid out in one row of a NUL-padded word matrix:
+    its id, then for each cell the two words of `,0.` and its leading zeros
+    and the three digit words of its 12-digit mantissa, then `\n`. Any other
+    row, or one whose id holds a NUL, is filled into the template, and its
+    text goes between the matrix's rows before and after it."""
+    scale, digits, first, second, newline = _digit_tables()
+    rows, k = matrix.shape
+    certified = (matrix >= 1e-4) & (matrix < 1)
+    x = np.where(certified, matrix, 0.5)  # no NaN or inf reaches the arithmetic
+    lead = (x < 0.1).view(np.uint8) + (x < 0.01) + (x < 0.001)
+    y = x * scale.take(lead)
+    mantissa = np.rint(y)
+    certified &= (np.abs(y - mantissa) < _BAND) & (mantissa >= 1e11) & (mantissa < 1e12)
+    mantissa = mantissa.astype(np.int64)
+    high, low = mantissa // 10 ** 8, mantissa % 10 ** 4
+    mid = mantissa // 10 ** 4 % 10 ** 4
+
+    joined = "".join(ids)
+    text = joined.encode()
+    widths = np.fromiter(map(len, ids), np.intp, rows)
+    if len(text) != len(joined):  # an id beyond ASCII: count its bytes
+        widths = np.fromiter((len(image_id.encode()) for image_id in ids), np.intp, rows)
+    id_words = -(-int(widths.max()) // 4)
+    out = np.empty((rows, id_words + 5 * k + 1), np.uint32)
+    out[:, :id_words] = 0
+    out.view(np.uint8)[:, :4 * id_words][np.arange(4 * id_words) < widths[:, None]] = (
+        np.frombuffer(text, np.uint8))
+    cells = out[:, id_words:-1].reshape(rows, k, 5)
+    cells[..., 0], cells[..., 1] = first.take(lead), second.take(lead)
+    cells[..., 2] = digits.take(high + 10000 * ((mid | low) != 0))
+    cells[..., 3] = digits.take(mid + 10000 * (low != 0))
+    cells[..., 4] = digits.take(low)
+    out[:, -1] = newline
+
+    fallback = set((np.flatnonzero(~certified) // k).tolist())
+    if "\0" in joined:  # a NUL in an id would be compacted away
+        fallback.update(row for row, image_id in enumerate(ids) if "\0" in image_id)
+    pieces, start = [], 0
+    for row in sorted(fallback):
+        pieces.append(out[start:row].tobytes().translate(None, b"\0"))
+        pieces.append((template % (ids[row], *matrix[row].tolist())).encode())
+        start = row + 1
+    pieces.append(out[start:].tobytes().translate(None, b"\0"))
+    return pieces
+
+
 def write_prob_table(path, table: ProbTable) -> None:
-    """Write the table as CSV, each probability with `.12g`. Each chunk of
-    1024 rows fills one `%` template from one object array of its ids and
-    values, reused from chunk to chunk. The chunks bound what is held as
-    Python objects: one template over the whole matrix would hold every
-    value as a Python float at once, over 20 MB for 50k x 13."""
-    ids, chunk = csv_column(table.ids), 1024
+    """Write the table as CSV, each probability as `%.12g` renders it, in
+    chunks of 1024 rows.
+
+    A cell `x` is certified when `1e-4 <= x < 1` and, with `lead` its zeros
+    after `0.` (from comparing `x` with 0.1, 0.01 and 0.001),
+    `y = x * 10**(12 + lead)` (an exact power of ten) and `m = rint(y)`,
+    `abs(y - m) < 0.5 - 2**-12` and `10**11 <= m < 10**12`. As `y < 2**40`,
+    `y` is within `2**-14` of the exact product, so `m` is the correctly
+    rounded 12-digit mantissa that `%.12g` prints in fixed notation. Its
+    three 4-digit groups come from a 10,000-entry table of ASCII digit words,
+    with a second table that holds trailing zeros as NUL bytes for the last
+    non-zero group; a NUL-padded row is compacted with
+    `bytes.translate(None, b"\0")`. A row with any other cell (0, 1, below
+    `1e-4`, NaN, inf, -0.0, inside the rounding band or a carry into the next
+    decade), or whose id holds a NUL, is filled into the `%` template as
+    before. The chunks keep the matrix and its temporaries under 1 MB."""
+    ids = csv_column(table.ids)
     template = "%s," + ",".join(["%.12g"] * len(table.label_set)) + "\n"
-    cells = np.empty((chunk, len(table.label_set) + 1), dtype=object)
-
-    def chunks():
-        for start in range(0, len(ids), chunk):
-            rows = slice(start, start + chunk)
-            block = cells[:len(ids[rows])]
-            block[:, 0], block[:, 1:] = ids[rows], table.matrix[rows]
-            yield (template * len(block)) % tuple(block.ravel().tolist())
-
-    write_csv_lines(path, ["image_id", *table.label_set.names], chunks())
+    write_csv_lines(path, ["image_id", *table.label_set.names], (
+        piece
+        for start in range(0, len(ids), _CHUNK_ROWS)
+        for piece in _render_rows(ids[start:start + _CHUNK_ROWS],
+                                  table.matrix[start:start + _CHUNK_ROWS], template)
+    ))
 
 
 def parse_class_counts(path, label_set: LabelSet) -> ClassCounts:

@@ -4,7 +4,8 @@ CLI-level oracle. Its spikiness is the former contour form, a Moore walk of
 the boundary and the monotone chain over all its distinct points: the oracle
 of the bit-quad counts and the column-extreme hull. Also the former
 `csv.writer`-based CSV writer, the oracle of the writers that render rows
-themselves, the former row-by-row label reader, the oracle of the bulk one,
+themselves, the former per-row probability table writer, the oracle of the
+digit-table one, the former row-by-row label reader, the oracle of the bulk one,
 the former mask-building form of `kmeans2_luminance`, through which the
 2-means tests read its split, and the former `Path`-based image listing, the
 oracle of the `scandir` one."""
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from wbcrescue.core import ValidationError, read_keyed_csv
+from wbcrescue.core import ValidationError, csv_field, read_keyed_csv
 from wbcrescue.morphology import (
     fit_gaussian_gate,
     kmeans2_luminance,
@@ -205,6 +206,16 @@ def csv_module_write(path, header, rows) -> None:
         writer = csv.writer(sink, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_prob_table(path, table) -> None:
+    """The former `ingest.write_prob_table`: one `%` template per row, each
+    probability with `%.12g`, through a text file."""
+    template = "%s," + ",".join(["%.12g"] * len(table.label_set)) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(map(csv_field, ["image_id", *table.label_set.names])) + "\n")
+        handle.writelines(template % (csv_field(image_id), *row.tolist())
+                          for image_id, row in zip(table.ids, table.matrix))
 
 
 def read_label_csv(path, label_set):

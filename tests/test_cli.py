@@ -253,6 +253,26 @@ def test_an_output_that_cannot_replace_its_target_leaves_no_temporary(corpus, tm
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["rescue", "evaluate"])
+def test_a_second_output_that_cannot_be_written_leaves_the_first_as_it_was(
+        corpus, tmp_path, capsys, command):
+    # The first output of the last run stays; the second cannot be created.
+    first = tmp_path / ("pred.csv" if command == "rescue" else "report.txt")
+    first.write_bytes(b"last run\n")
+    if command == "rescue":
+        paths, gate_path, config_path = corpus
+        argv = _rescue_args(paths, gate_path, config_path, first, tmp_path / "nodir" / "t.csv")
+    else:
+        pred = write_csv(tmp_path / "in.csv", ["image_id", "label"], [["a", "SNE"]])
+        argv = ["evaluate", "--pred", str(pred), "--truth", str(pred), "--out", str(first),
+                "--confusion", str(tmp_path / "nodir" / "c.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert first.read_bytes() == b"last run\n"
+    assert not list(tmp_path.glob("*.tmp*"))
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_the_traced_split_is_the_one_that_runs(corpus, tmp_path, monkeypatch):
     # The benchmark times `morphology.kmeans2_luminance` by patching it as a
     # module global: each shape vector must call it once, through that name.

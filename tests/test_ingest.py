@@ -1,6 +1,7 @@
 import csv
 import re
 import warnings
+from fractions import Fraction
 from operator import attrgetter
 from unittest import mock
 
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wbcrescue.core import (ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, csv_field,
-                            read_csv, read_plain_csv, write_csv_lines)
+from wbcrescue.core import (ENTRY_EPSILON, SUM_DELTA, LabelSet, ValidationError, read_csv,
+                            read_plain_csv)
 from wbcrescue.ingest import (
     CellSample,
     DirectorySampleSource,
@@ -24,6 +25,7 @@ from wbcrescue.ingest import (
     parse_class_counts,
     parse_prob_table,
     write_prob_table,
+    _render_rows,
 )
 from wbcrescue.netpbm import read_pnm, write_pnm
 
@@ -310,17 +312,6 @@ def test_write_prob_table_matches_the_csv_module_writer(tmp_path_factory, table)
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
-def _write_prob_table_reference(path, table):
-    """The former `write_prob_table`: one `%` template per row."""
-    template = "%s," + ",".join(["%.12g"] * len(table.label_set)) + "\n"
-    write_csv_lines(
-        path,
-        ["image_id", *table.label_set.names],
-        (template % (csv_field(image_id), *row.tolist())
-         for image_id, row in zip(table.ids, table.matrix)),
-    )
-
-
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
 def test_write_prob_table_matches_the_per_row_writer_across_chunks(tmp_path, rows, quoted):
@@ -335,7 +326,77 @@ def test_write_prob_table_matches_the_per_row_writer_across_chunks(tmp_path, row
     matrix = np.random.default_rng(rows).random((rows, 13))
     table = ProbTable(LabelSet([f"C{k}" for k in range(13)]), ids, matrix)
     write_prob_table(tmp_path / "new.csv", table)
-    _write_prob_table_reference(tmp_path / "old.csv", table)
+    reference.write_prob_table(tmp_path / "old.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _nextafter_steps(value, steps):
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.inf if steps > 0 else -np.inf)
+    return float(value)
+
+
+_CELLS = st.one_of(
+    # Both sides of each edge where the digit path starts, stops or adds a
+    # leading zero.
+    st.builds(_nextafter_steps, st.sampled_from([1e-4, 1e-3, 0.01, 0.1, 1.0]),
+              st.integers(min_value=-3, max_value=3)),
+    # Ties and near-ties at the 12th significant digit, in each decade.
+    st.builds(lambda k, lead, steps: _nextafter_steps((k + 0.5) / 10 ** (12 + lead), steps),
+              st.integers(min_value=10 ** 11, max_value=10 ** 12 - 1),
+              st.integers(min_value=0, max_value=3), st.integers(min_value=-2, max_value=2)),
+    # Short decimals, whose mantissas end in zeros.
+    st.integers(min_value=1, max_value=15).flatmap(
+        lambda digits: st.integers(min_value=1, max_value=10 ** digits - 1)
+        .map(lambda k: k / 10 ** digits)),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3]),
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.floats(width=64),
+)
+
+
+def _digit_path_must_render(value: float) -> bool:
+    """Whether `value` is at least 2**-11 inside the digit path's rounding
+    band in exact arithmetic, with no carry into the next decade."""
+    if not 1e-4 <= value < 1:
+        return False
+    exact = Fraction(value)
+    lead = sum(exact < Fraction(1, 10 ** power) for power in (1, 2, 3))
+    scaled = exact * 10 ** (12 + lead)
+    mantissa = round(scaled)
+    return abs(scaled - mantissa) < Fraction(1, 2) - Fraction(1, 2 ** 11) and mantissa < 10 ** 12
+
+
+@given(st.lists(_CELLS, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_the_cell_renderer_writes_each_cell_as_percent_12g(values):
+    # One cell per row; the template marks the rows it writes with `!`.
+    matrix = np.array(values, dtype=np.float64).reshape(-1, 1)
+    ids = [str(row) for row in range(len(values))]
+    text = b"".join(_render_rows(ids, matrix, "%s,%.12g!\n")).decode()
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(values)
+    for row, (line, value) in enumerate(zip(lines, values)):
+        by_template = line.endswith("!")
+        assert line.removesuffix("!") == f"{row},{'%.12g' % value}"
+        if not by_template:
+            assert 1e-4 <= value < 1
+        if _digit_path_must_render(value):
+            assert not by_template, value
+
+
+def test_write_prob_table_writes_ids_the_digit_path_cannot_hold_as_before(tmp_path):
+    # Ids with a row end, a quote, a comma, text beyond ASCII and a NUL, on
+    # both sides of the chunk edge at row 1024, next to rows that the
+    # template writes: one with a 0 and one with a NaN.
+    kinds = ["a\nb", 'q"x', "a,b", "é細", "nul\0id", "\0", "", "plain", "\r"]
+    ids = [f"{kinds[i % len(kinds)]}{i}" for i in range(1030)]
+    matrix = np.random.default_rng(7).random((len(ids), 3))
+    matrix[[3, 1022, 1025], 0] = 0.0
+    matrix[[4, 1023], 2] = np.nan
+    table = ProbTable(LabelSet(["SNE", "LY", "P,C"]), ids, matrix)
+    write_prob_table(tmp_path / "new.csv", table)
+    reference.write_prob_table(tmp_path / "old.csv", table)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
