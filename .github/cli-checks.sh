@@ -148,3 +148,22 @@ wbcrescue features --images images --masks masks --out features.csv
 cat features.csv
 test "$(tail -n 1 features.csv | cut -d, -f2)" = 0.5 \
   || { echo "::error::the 327 px three-level cell did not split at the lower threshold"; exit 1; }
+# A failed inject-noise leaves the copies of an earlier run byte for byte,
+# and no temporary file: no copy replaces its target until all are written.
+mkdir clean
+for i in 0 1; do
+  python3 -c 'import sys; sys.stdout.buffer.write(b"P6\n4 4\n255\n" + bytes(range(int(sys.argv[1]), 256, 5))[:48])' "$i" > "clean/n$i.ppm"
+done
+wbcrescue inject-noise --images clean --out noisy --density 0.5 --seed 1
+cp noisy/n0.ppm first-n0.ppm
+cp noisy/n1.ppm first-n1.ppm
+head -c 20 clean/n1.ppm > short.ppm
+mv short.ppm clean/n1.ppm
+status=0
+wbcrescue inject-noise --images clean --out noisy --density 0.5 --seed 2 2> inject.err || status=$?
+cat inject.err
+test "$status" = 1 || { echo "::error::inject-noise over a truncated image exited $status, not 1"; exit 1; }
+cmp first-n0.ppm noisy/n0.ppm && cmp first-n1.ppm noisy/n1.ppm \
+  || { echo "::error::a failed inject-noise changed a copy of the earlier run"; exit 1; }
+test -z "$(find noisy -name '*.tmp*')" \
+  || { echo "::error::a failed inject-noise left a temporary file"; exit 1; }

@@ -5,11 +5,10 @@ Exit codes: 0 success, 1 validation or configuration error, 2 I/O error.
 Output files are written to temporary sibling paths and renamed into
 place only once the command has written all of them, so a failure leaves
 no partial output and no temporary file behind, and each earlier output
-as it was. `rescue --trace` and `evaluate --confusion` rename their two
-files one after the other: only a failure inside those few `os.replace`
-calls can leave a new first file beside an old second one. When one image
-of `inject-noise` fails, the copies it already wrote and the directories it
-made are removed.
+as it was. Only a failure inside the final `os.replace` calls, one per
+file (two for `rescue --trace` and `evaluate --confusion`, one per copy
+for `inject-noise`), can leave some new files beside old ones. A failed
+`inject-noise` also removes the directories it made.
 """
 
 from __future__ import annotations
@@ -263,24 +262,21 @@ def _cmd_inject_noise(args) -> int:
         )
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
-    def corrupt(image_id: str):
+    def corrupt(item):
+        image_id, tmp = item
         pixels = read_image_rgb(find_image(args.images, image_id))
         noisy = inject_salt_pepper(
             pixels, args.density, args.salt_ratio, _derive_seed(args.seed, image_id)
         )
-        target = out_dir / (image_id + ".ppm")
-        with _atomic(target) as (tmp,):
-            write_pnm(tmp, noisy)
-        written.append(target)
+        write_pnm(tmp, noisy)
 
     try:
-        # The pool has finished every image by the time an error surfaces here.
-        parallel_map(corrupt, ids, args.threads)
+        with _atomic(*(out_dir / (i + ".ppm") for i in ids)) as tmps:
+            # The pool has finished every image by the time an error surfaces
+            # here, so `_atomic` unlinks every temporary copy.
+            parallel_map(corrupt, list(zip(ids, tmps)), args.threads)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
         with suppress(OSError):  # a directory someone else wrote to stays
             for directory in created:
                 directory.rmdir()

@@ -336,6 +336,13 @@ def list_image_ids(images_dir) -> list[str]:
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
     with os.scandir(directory) as entries:
-        ids = {entry.name[:-4] for entry in entries
-               if entry.name[-4:] in _IMAGE_SUFFIXES and entry.name[:-4] and _is_file(entry)}
-    return sorted(ids)
+        names = sorted(entry.name for entry in entries
+                       if entry.name[-4:] in _IMAGE_SUFFIXES and entry.name[:-4] and _is_file(entry))
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a byte that is not UTF-8 decodes to a lone surrogate
+            raise ValidationError(
+                f"{directory}: image file name {os.fsencode(name)!r} is not UTF-8"
+            ) from None
+    return sorted({name[:-4] for name in names})

@@ -443,7 +443,11 @@ def calibrate_spikiness_threshold(reference_scores, k: float = 2.0) -> float:
         raise ValidationError("non-finite reference score")
     if not math.isfinite(k):
         raise ValidationError(f"k must be finite, got {k}")
-    return float(scores.mean() + k * scores.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below as not finite
+        threshold = float(scores.mean() + k * scores.std())
+    if not math.isfinite(threshold):
+        raise ValidationError(f"spikiness threshold overflows: mean + {k:g} std is {threshold}")
+    return threshold
 
 
 def save_gate(path, gate: GaussianGate) -> None:

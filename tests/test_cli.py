@@ -382,6 +382,25 @@ def test_calibrate_spikiness_prints_nothing_when_its_out_cannot_be_written(tmp_p
     assert list(tmp_path.iterdir()) == [features]
 
 
+@pytest.mark.parametrize("spikes, k", [(["1e308", "1e308"], "2"), (["1e200", "2e200"], "2"),
+                                       (["0", "1e10"], "1e300")])
+def test_calibrate_spikiness_refuses_a_threshold_past_float_range(tmp_path, capsys, spikes, k):
+    features = write_csv(
+        tmp_path / "features.csv",
+        ["image_id", "nc_ratio", "staining", "centroid_offset", "spikiness"],
+        [["a", "0.5", "0.6", "0.1", spikes[0]], ["b", "1.2", "0.3", "0.4", spikes[1]]],
+    )
+    tau_out = tmp_path / "tau_s.txt"
+    code = run(["calibrate-spikiness", "--features", str(features), "--k", k,
+                "--out", str(tau_out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: spikiness threshold overflows: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [features]
+
+
 @pytest.mark.parametrize("command", ["rescue", "evaluate"])
 @pytest.mark.parametrize("spelling", ["plain", "dot", "symlink", "hard link", "new", "new dot"])
 def test_two_outputs_naming_one_file_exit_1_before_any_work(tmp_path, capsys, command, spelling):
@@ -435,6 +454,31 @@ def test_features_names_mask_of_unmeasurable_cell(tmp_path, capsys, image_id, gr
     assert run(args) == 1
     assert capsys.readouterr().err == f"error: {masks / image_id}.pgm: {reason}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "noise-score", "inject-noise"])
+def test_image_file_name_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    images, masks = tmp_path / "images", tmp_path / "masks"
+    images.mkdir()
+    masks.mkdir()
+    name = os.fsdecode(b"\xffcell")
+    try:
+        write_pnm(images / f"{name}.ppm",
+                  np.random.default_rng(3).integers(0, 256, (8, 8, 3), dtype=np.uint8))
+    except OSError:  # APFS, for one, refuses a name that is not UTF-8
+        pytest.skip("this filesystem refuses file names that are not UTF-8")
+    write_pnm(masks / f"{name}.pgm", np.full((8, 8), 255, dtype=np.uint8))
+    out = tmp_path / "out"
+    args = [command, "--images", str(images), "--out", str(out)]
+    if command == "features":
+        args += ["--masks", str(masks)]
+    if command == "inject-noise":
+        args += ["--density", "0.2"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {images}: image file name b'\\xffcell.ppm' is not UTF-8\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "masks"]
 
 
 def test_noise_score_and_inject(tmp_path):
@@ -618,9 +662,32 @@ def test_inject_noise_failure_removes_its_outputs(tmp_path, capsys, threads):
     existing = tmp_path / "existing"
     existing.mkdir()
     (existing / "keep.txt").write_text("kept\n")
-    (existing / "c0.ppm").write_text("stale\n")  # overwritten by the run, then removed
+    (existing / "c0.ppm").write_text("stale\n")  # kept: no copy replaces it
     assert run([*args, "--out", str(existing)]) == 1
-    assert sorted(p.name for p in existing.iterdir()) == ["keep.txt"]
+    assert {p.name: p.read_text() for p in existing.iterdir()} == {
+        "keep.txt": "kept\n", "c0.ppm": "stale\n"}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_inject_noise_keeps_the_copies_of_an_earlier_run(tmp_path, capsys, threads):
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(8)
+    for image_id in ("c0", "c1", "c2"):
+        write_pnm(images / f"{image_id}.ppm", rng.integers(0, 256, (6, 6, 3), dtype=np.uint8))
+    out = tmp_path / "noisy"
+    args = ["--threads", threads, "inject-noise", "--images", str(images), "--out", str(out),
+            "--density", "0.2"]
+    assert run([*args, "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["c0.ppm", "c1.ppm", "c2.ppm"]
+
+    c2 = images / "c2.ppm"
+    c2.write_bytes(c2.read_bytes()[:-5])
+    assert run([*args, "--seed", "2"]) == 1  # another seed: every copy would change
+    assert "c2.ppm" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 @pytest.mark.parametrize("spelling", ["plain", "dot", "symlink"])

@@ -1355,8 +1355,19 @@ def test_mahalanobis_rejects_non_finite():
         # Finite features whose covariance product overflows.
         (lambda: fit_gaussian_gate(1e200 * _jittered_ones()),
          "gate fit: non-finite gate parameters"),
+        # Finite scores whose threshold would be inf, tau_s's "never pass" sentinel.
+        (lambda: calibrate_spikiness_threshold([1e308, 1e308]),
+         "spikiness threshold overflows: mean + 2 std is inf"),
+        (lambda: calibrate_spikiness_threshold([1e308, 1e308], k=0.0),
+         "spikiness threshold overflows: mean + 0 std is nan"),
+        (lambda: calibrate_spikiness_threshold([1e200, 2e200]),
+         "spikiness threshold overflows: mean + 2 std is inf"),
+        (lambda: calibrate_spikiness_threshold([0.0, 1e10], k=1e300),
+         "spikiness threshold overflows: mean + 1e+300 std is inf"),
     ],
-    ids=["fit-shape", "fit-ridge", "mahalanobis-shape", "calibrate-nan", "fit-overflow"],
+    ids=["fit-shape", "fit-ridge", "mahalanobis-shape", "calibrate-nan", "fit-overflow",
+         "calibrate-mean-overflow", "calibrate-mean-overflow-k0", "calibrate-std-overflow",
+         "calibrate-k-overflow"],
 )
 def test_gate_and_calibration_reject_bad_arguments(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
