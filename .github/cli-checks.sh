@@ -167,3 +167,23 @@ cmp first-n0.ppm noisy/n0.ppm && cmp first-n1.ppm noisy/n1.ppm \
   || { echo "::error::a failed inject-noise changed a copy of the earlier run"; exit 1; }
 test -z "$(find noisy -name '*.tmp*')" \
   || { echo "::error::a failed inject-noise left a temporary file"; exit 1; }
+# A copy whose target is a directory exits 2 before any copy replaces its
+# target: the copies of the earlier run stay byte for byte, and no
+# temporary file is left.
+mkdir cells
+for i in 0 1 2; do
+  python3 -c 'import sys; sys.stdout.buffer.write(b"P6\n4 4\n255\n" + bytes(range(int(sys.argv[1]), 256, 5))[:48])' "$i" > "cells/d$i.ppm"
+done
+wbcrescue inject-noise --images cells --out copies --density 0.5 --seed 1
+cp copies/d0.ppm first-d0.ppm
+cp copies/d2.ppm first-d2.ppm
+rm copies/d1.ppm
+mkdir copies/d1.ppm
+status=0
+wbcrescue inject-noise --images cells --out copies --density 0.5 --seed 2 2> directory.err || status=$?
+cat directory.err
+test "$status" = 2 || { echo "::error::inject-noise over a directory-named copy exited $status, not 2"; exit 1; }
+cmp first-d0.ppm copies/d0.ppm && cmp first-d2.ppm copies/d2.ppm \
+  || { echo "::error::inject-noise replaced a copy before refusing a directory-named one"; exit 1; }
+test -z "$(find copies -name '*.tmp*')" \
+  || { echo "::error::inject-noise over a directory-named copy left a temporary file"; exit 1; }

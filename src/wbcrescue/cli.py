@@ -5,17 +5,21 @@ Exit codes: 0 success, 1 validation or configuration error, 2 I/O error.
 Output files are written to temporary sibling paths and renamed into
 place only once the command has written all of them, so a failure leaves
 no partial output and no temporary file behind, and each earlier output
-as it was. Only a failure inside the final `os.replace` calls, one per
-file (two for `rescue --trace` and `evaluate --confusion`, one per copy
-for `inject-noise`), can leave some new files beside old ones. A failed
-`inject-noise` also removes the directories it made.
+as it was. A target that is itself a directory is refused before the
+first rename, so no target is replaced. Only a failure inside the final
+`os.replace` calls, one per file (two for `rescue --trace` and `evaluate
+--confusion`, one per copy for `inject-noise`), can leave some new files
+beside old ones. A failed `inject-noise` also removes the directories it
+made.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import os
+import stat
 import sys
 import zlib
 from contextlib import contextmanager, suppress
@@ -108,11 +112,17 @@ class _Parser(argparse.ArgumentParser):
 def _atomic(*paths):
     """Yield a temporary path for each of `paths`, or the path itself where it
     is None or empty. They replace their targets one after another only once
-    the block has written them all; on any failure each one is removed."""
+    the block has written them all and no target is a directory; on any
+    failure each one is removed."""
     targets = [path and Path(path) for path in paths]
     tmps = [target and target.with_name(f"{target.name}.tmp{os.getpid()}") for target in targets]
     try:
         yield tmps
+        for target in filter(None, targets):
+            with suppress(FileNotFoundError):  # a new file
+                # lstat: os.replace replaces a symlink, even one to a directory.
+                if stat.S_ISDIR(os.lstat(target).st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for tmp, target in zip(tmps, targets):
             if target:
                 os.replace(tmp, target)
@@ -327,7 +337,7 @@ def build_parser() -> _Parser:
     cmd.add_argument(
         "--skip-missing",
         action="store_true",
-        help="deny rescue instead of aborting when a sample file is missing",
+        help="deny rescue instead of aborting when a sample file is missing or unreadable",
     )
 
     cmd = add("ensemble", _cmd_ensemble, "average probability CSVs element-wise")

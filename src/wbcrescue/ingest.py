@@ -20,34 +20,39 @@ class SampleNotFoundError(FileNotFoundError):
     """Image or mask file for a requested sample does not exist."""
 
 
-class ProbTable:
+class ProbTable(Frozen):
     """Ordered per-image probability rows from one classifier branch: the
     image ids and one read-only (N, K) float64 matrix whose row i belongs to
-    ids[i]."""
+    ids[i]. Equality is identity, as for `Decisions`: comparing the fields
+    would compare the matrices element by element."""
+
+    __slots__ = ("label_set", "ids", "matrix")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, label_set: LabelSet, ids: Iterable[str], matrix):
-        self.label_set = label_set
-        self.ids: tuple[str, ...] = tuple(ids)
-        self.matrix = np.array(matrix, dtype=np.float64)
-        if self.matrix.shape != (len(self.ids), len(label_set)):
+        ids = tuple(ids)
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.shape != (len(ids), len(label_set)):
             raise ValidationError(
-                f"probability matrix shape {self.matrix.shape} does not match "
-                f"{len(self.ids)} ids by catalog size {len(label_set)}"
+                f"probability matrix shape {matrix.shape} does not match "
+                f"{len(ids)} ids by catalog size {len(label_set)}"
             )
-        self.matrix.flags.writeable = False
-        if len(set(self.ids)) < len(self.ids):
+        matrix.flags.writeable = False
+        if len(set(ids)) < len(ids):
             seen: set[str] = set()
-            for image_id in self.ids:
+            for image_id in ids:
                 if image_id in seen:
                     raise ValidationError(f"duplicate image_id {image_id!r}")
                 seen.add(image_id)
+        self._set(label_set=label_set, ids=ids, matrix=matrix)
 
     @classmethod
     def _own(cls, label_set: LabelSet, ids: tuple[str, ...], matrix: np.ndarray) -> ProbTable:
         """A table that takes unique ids and a fresh read-only (N, K) float64
         matrix as they are, without the copy and the repeat scan."""
         table = cls.__new__(cls)
-        table.label_set, table.ids, table.matrix = label_set, ids, matrix
+        table._set(label_set=label_set, ids=ids, matrix=matrix)
         return table
 
     def __len__(self) -> int:

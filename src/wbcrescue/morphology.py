@@ -101,7 +101,9 @@ class Contour(NamedTuple):
 
     axial: int  # unit steps
     diagonal: int  # diagonal steps
-    extremes: np.ndarray  # each column's top and bottom pixel: distinct (x, y), sorted
+    left: int  # the first column
+    top: np.ndarray  # int64 row of each column's top pixel, from column `left` on
+    bottom: np.ndarray  # int64 row of each column's bottom pixel
 
 
 def _bit_quads(padded: np.ndarray) -> tuple[int, int, int]:
@@ -153,11 +155,8 @@ def trace_contour(mask) -> Contour:
         roots, lengths = _run_roots(background, diagonal=False)
         padded[background] = np.repeat(roots != 0, lengths)
         axial, diagonal, _ = _bit_quads(padded)
-    xs = np.arange(columns[0], columns[-1] + 1, dtype=np.int64)
     top, bottom = rows[0] + cropped.argmax(axis=0), rows[-1] - cropped[::-1].argmax(axis=0)
-    ends = np.stack((xs, top, xs, bottom), axis=1).reshape(width, 2, 2)  # [x, top or bottom]
-    distinct = np.stack((np.ones(width, dtype=bool), top != bottom), axis=1)
-    return Contour(int(axial), int(diagonal), ends[distinct])
+    return Contour(int(axial), int(diagonal), int(columns[0]), top, bottom)
 
 
 def _chain(points: np.ndarray) -> list[list[int]]:
@@ -181,23 +180,18 @@ def _chain(points: np.ndarray) -> list[list[int]]:
     return chain
 
 
-def _hull_of_distinct(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of points already distinct and sorted by (x, y).
+def _hull(minima: np.ndarray, maxima: np.ndarray) -> list[list[int]]:
+    """Monotone-chain hull, counterclockwise from the lowest (x, y), of the
+    lowest and the highest point of each column, both given in column order.
 
-    A point between the lowest and the highest point of its column lies on
-    the segment joining them, so it is never a strict hull vertex (the
-    throw-away step of Akl & Toussaint, IPL 1978). The lower chain runs over
-    the column minima and up the last column, the upper chain back over the
-    column maxima and down the first column.
+    A point between the two ends of its column lies on the segment joining
+    them, so it is never a strict hull vertex (the throw-away step of Akl &
+    Toussaint, IPL 1978). The lower chain runs over the minima and up the
+    last column, the upper chain back over the maxima and down the first.
     """
-    if len(pts) <= 2:
-        return np.array(pts.tolist(), dtype=np.int64)
-    column_edge = pts[1:, 0] != pts[:-1, 0]
-    minima = pts[np.concatenate(([True], column_edge))]
-    maxima = pts[np.concatenate((column_edge, [True]))]
     lower = _chain(np.concatenate((minima, maxima[-1:])))
     upper = _chain(np.concatenate((maxima[::-1], minima[:1])))
-    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+    return lower[:-1] + upper[:-1]
 
 
 def polygon_perimeter(points) -> float:
@@ -217,18 +211,20 @@ def spikiness(contour: Contour) -> float:
     """Contour irregularity: boundary length over convex hull length, minus 1.
 
     Zero for convex shapes; grows as protrusions lengthen the boundary faster
-    than the hull. Fewer than 3 distinct extremes score 0; the hull of more
+    than the hull. Fewer than 3 distinct column ends score 0; the hull of more
     keeps the first and the last, so its perimeter is >= 2. Each strict vertex
-    of the boundary's hull is a column extreme, so the hulls are the same.
-    The length is `axial + diagonal * fl(sqrt(2))` rounded once, as `fsum`
-    over the walk's steps rounds it, where a float product would round twice:
-    an int over an int is correctly rounded, as in `float(Fraction(...))`.
+    of the boundary's hull is a column's top or bottom, so the hulls are the
+    same. The length is `axial + diagonal * fl(sqrt(2))` rounded once, as
+    `fsum` over the walk's steps rounds it, where a float product would round
+    twice: an int over an int is correctly rounded, as in `float(Fraction(...))`.
     """
-    if len(contour.extremes) < 3:
+    top, bottom = contour.top, contour.bottom
+    if len(top) + np.count_nonzero(top != bottom) < 3:
         return 0.0
-    hull_perimeter = polygon_perimeter(_hull_of_distinct(contour.extremes))
+    xs = np.arange(contour.left, contour.left + len(top))
+    hull = _hull(np.stack((xs, top), axis=1), np.stack((xs, bottom), axis=1))
     scaled = contour.axial * _ROOT2_DENOMINATOR + contour.diagonal * _ROOT2_NUMERATOR
-    return max(0.0, scaled / _ROOT2_DENOMINATOR / hull_perimeter - 1.0)
+    return max(0.0, scaled / _ROOT2_DENOMINATOR / polygon_perimeter(hull) - 1.0)
 
 
 def _split_cost_exact(sorted_values: Sequence[float], split: int) -> float:

@@ -215,7 +215,8 @@ def rescue_batch(
     Phases 1 and 2 run on the whole probability matrix at once. Only the
     rows whose candidate survives verification load their sample and reach
     the shape filters, possibly on worker threads; output order is the
-    table order regardless.
+    table order regardless. With `skip_missing`, a row whose sample is
+    missing or cannot be read is denied instead of failing the batch.
     """
     label_set = swin_table.label_set
     if med_table.label_set != label_set:
@@ -235,7 +236,7 @@ def rescue_batch(
     def filter_row(row: int) -> tuple[Phase, float | None, float | None, str | None]:
         try:
             sample = sample_source(swin_table.ids[row])
-        except SampleNotFoundError as exc:
+        except (SampleNotFoundError, ValidationError) as exc:  # missing, or unreadable
             if not skip_missing:
                 raise
             return _denial(exc)

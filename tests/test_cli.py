@@ -273,6 +273,18 @@ def test_a_second_output_that_cannot_be_written_leaves_the_first_as_it_was(
     assert not (tmp_path / "nodir").exists()
 
 
+def test_a_directory_as_second_output_is_refused_before_the_first_is_replaced(
+        corpus, tmp_path, capsys):
+    paths, gate_path, config_path = corpus
+    out, trace = tmp_path / "pred.csv", tmp_path / "trace"
+    out.write_bytes(b"last run\n")
+    trace.mkdir()
+    assert run(_rescue_args(paths, gate_path, config_path, out, trace)) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{trace}'\n"
+    assert out.read_bytes() == b"last run\n"
+    assert sorted(tmp_path.iterdir()) == [out, trace] and not any(trace.iterdir())
+
+
 def test_the_traced_split_is_the_one_that_runs(corpus, tmp_path, monkeypatch):
     # The benchmark times `morphology.kmeans2_luminance` by patching it as a
     # module global: each shape vector must call it once, through that name.
@@ -688,6 +700,33 @@ def test_failed_inject_noise_keeps_the_copies_of_an_earlier_run(tmp_path, capsys
     assert "c2.ppm" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert not list(tmp_path.rglob("*.tmp*"))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_inject_noise_over_a_directory_named_copy_replaces_no_copy(tmp_path, capsys, threads):
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(8)
+    for image_id in ("c0", "c1", "c2"):
+        write_pnm(images / f"{image_id}.ppm", rng.integers(0, 256, (6, 6, 3), dtype=np.uint8))
+    out = tmp_path / "noisy"
+    out.mkdir()
+    (out / "c0.ppm").write_bytes(b"old c0\n")
+    (out / "c1.ppm").mkdir()
+    (out / "c2.ppm").write_bytes(b"old c2\n")
+    args = ["--threads", threads, "inject-noise", "--images", str(images), "--out", str(out),
+            "--density", "0.2"]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out / 'c1.ppm'}'\n"
+    assert (out / "c0.ppm").read_bytes() == b"old c0\n"
+    assert (out / "c2.ppm").read_bytes() == b"old c2\n"
+    assert (out / "c1.ppm").is_dir() and not any((out / "c1.ppm").iterdir())
+    assert not list(tmp_path.rglob("*.tmp*"))
+    # A symlink to a directory is a target os.replace replaces.
+    (out / "c1.ppm").rmdir()
+    (out / "c1.ppm").symlink_to(tmp_path / "images", target_is_directory=True)
+    assert run(args) == 0
+    assert all(path.is_file() and not path.is_symlink() for path in out.iterdir())
 
 
 @pytest.mark.parametrize("spelling", ["plain", "dot", "symlink"])
@@ -1128,23 +1167,51 @@ def test_image_and_mask_size_mismatch_names_both_files(cell_inputs, tmp_path, ca
     image, mask = inputs["images"] / "p.ppm", inputs["masks"] / "p.pgm"
     write_pnm(mask, np.full((12, 10), 255, dtype=np.uint8))
     out = tmp_path / "out.csv"
-    assert run(_cell_command(command, inputs, out)) == 1
+    argv = _cell_command(command, inputs, out)
+    if command == "rescue":
+        argv.remove("--skip-missing")  # which would deny the rescue instead
+    assert run(argv) == 1
     assert capsys.readouterr().err == (
         f"error: {image}, {mask}: p: dimension mismatch: image 32x32 vs mask 10x12\n"
     )
     assert not out.exists()
 
 
-def test_skip_missing_still_fails_on_a_truncated_image(cell_inputs, tmp_path, capsys):
-    # --skip-missing denies a rescue only when a file is absent; an image
-    # that is there but cannot be read aborts the whole batch.
+def _traced_rescue(inputs, work):
+    """Exit status of `rescue --skip-missing` over `inputs`, and its trace rows by id."""
+    trace = work / "trace.csv"
+    status = run(_cell_command("rescue", inputs, work / "pred.csv") + ["--trace", str(trace)])
+    if status:
+        return status, None
+    with open(trace, newline="", encoding="utf-8") as handle:
+        return status, {row[0]: row for row in csv.reader(handle)}
+
+
+@pytest.fixture(scope="module")
+def cell_trace(cell_inputs, tmp_path_factory):
+    """The trace rows of `rescue` over the clean `cell_inputs`, by id."""
+    status, rows = _traced_rescue(cell_inputs, tmp_path_factory.mktemp("clean-trace"))
+    assert status == 0
+    return rows
+
+
+def test_skip_missing_denies_a_truncated_image(cell_inputs, cell_trace, tmp_path, capsys):
+    # --skip-missing denies the rescue of an image that is there but cannot
+    # be read, as of one that is absent; without it the batch aborts.
     inputs = _copy_cells(cell_inputs, tmp_path)
     image = inputs["images"] / "p.ppm"
     image.write_bytes(image.read_bytes()[:-1])
-    out = tmp_path / "pred.csv"
-    assert run(_cell_command("rescue", inputs, out)) == 1
+    status, rows = _traced_rescue(inputs, tmp_path)
+    assert status == 0 and capsys.readouterr().err == ""
+    assert cell_trace["p"][3] == "Rescued"
+    assert rows.pop("p") == ["p", "PLY", "PLY", "FailedMorphology", "", "", "PLY"]  # base PLY
+    assert rows == {image_id: row for image_id, row in cell_trace.items() if image_id != "p"}
+
+    argv = _cell_command("rescue", inputs, tmp_path / "aborted.csv")
+    argv.remove("--skip-missing")
+    assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {image}:")
-    assert not out.exists()
+    assert not (tmp_path / "aborted.csv").exists()
 
 
 _PNM_MUTATIONS = ["truncate", "magic", "width", "height", "maxval", "flip", "trailing"]
@@ -1178,7 +1245,7 @@ def _mutate_pnm(data: bytes, mutation: str, at: int, byte: int, token: bytes) ->
 )
 @settings(max_examples=200, deadline=None)
 def test_malformed_image_never_escapes_run(
-    cell_inputs, tmp_path_factory, command, slot, mutation, at, byte, token
+    cell_inputs, cell_trace, tmp_path_factory, command, slot, mutation, at, byte, token
 ):
     work = tmp_path_factory.mktemp("image-fuzz")
     inputs = _copy_cells(cell_inputs, work)
@@ -1187,4 +1254,12 @@ def test_malformed_image_never_escapes_run(
         files += sorted(inputs["masks"].iterdir())
     target = files[slot % len(files)]
     target.write_bytes(_mutate_pnm(target.read_bytes(), mutation, at, byte, token))
-    assert run(_cell_command(command, inputs, work / "out")) in (0, 1, 2)
+    if command != "rescue":
+        assert run(_cell_command(command, inputs, work / "out")) in (0, 1, 2)
+        return
+    # --skip-missing denies a cell it cannot read, and decides every other as before.
+    status, rows = _traced_rescue(inputs, work)
+    assert status == 0
+    damaged = target.name[:-4]
+    assert {k: v for k, v in rows.items() if k != damaged} == {
+        k: v for k, v in cell_trace.items() if k != damaged}

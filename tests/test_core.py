@@ -25,7 +25,7 @@ from wbcrescue.core import (
     read_keyed_csv,
     write_csv,
 )
-from wbcrescue.ingest import CellSample, parse_class_counts, parse_prob_table
+from wbcrescue.ingest import CellSample, ProbTable, parse_class_counts, parse_prob_table
 from wbcrescue.metrics import MetricsReport, read_label_csv
 from wbcrescue.morphology import GaussianGate, load_gate, read_features_csv
 from wbcrescue.rescue import BoostFactors, Decisions
@@ -322,6 +322,7 @@ _VALUE_TYPES = [
     (RescueConfig, [{"PLY"}, {"PLY": 2.0}, 0.25, 0.5, 2.0, 4.0],
      ["rare_classes", "boost_overrides", "tau", "tau_s", "tau_m", "boost_cap"]),
     (CellSample, ["a", _PIXELS, _MASK], ["image_id", "pixels", "mask"]),
+    (ProbTable, [LabelSet(("A", "B")), ("a",), [[0.25, 0.75]]], ["label_set", "ids", "matrix"]),
     (MetricsReport, [0.5, 0.25, 0.5, 0.75, *[_VECTOR] * 5, 4],
      ["macro_f1", "balanced_accuracy", "macro_precision", "macro_specificity", "precision",
       "recall", "f1", "specificity", "support", "total"]),
@@ -363,6 +364,9 @@ def test_value_types_compare_as_before():
     decisions = [Decisions(*_VALUE_TYPES[-1][1]) for _ in range(2)]
     assert decisions[0] == decisions[0] and decisions[0] != decisions[1]
     assert len(set(decisions)) == 2
+    tables = [ProbTable(*_VALUE_TYPES[4][1]) for _ in range(2)]
+    assert tables[0] == tables[0] and tables[0] != tables[1]
+    assert len(set(tables)) == 2
 
 
 def test_config_file_round_trip(tmp_path, labels13):

@@ -16,7 +16,7 @@ from wbcrescue.ingest import CellSample
 from wbcrescue.morphology import (
     _best_threshold_split,
     _bit_quads,
-    _hull_of_distinct,
+    _hull,
     _invert_spd_3x3,
     LUMA_WEIGHTS,
     Contour,
@@ -58,7 +58,8 @@ def test_single_pixel_contour_is_degenerate():
     contour = trace_contour(mask)
     assert isinstance(contour, Contour)
     assert (contour.axial, contour.diagonal) == (0, 0)
-    assert contour.extremes.dtype == np.int64 and contour.extremes.tolist() == [[1, 1]]
+    assert contour.top.dtype == contour.bottom.dtype == np.int64
+    assert (contour.left, contour.top.tolist(), contour.bottom.tolist()) == (1, [1], [1])
     assert spikiness(contour) == 0.0
     assert reference.trace_contour(mask).tolist() == [[1, 1]]
 
@@ -70,7 +71,7 @@ def test_solid_3x3_square_ring():
     ]
     contour = trace_contour(mask)
     assert (contour.axial, contour.diagonal) == (8, 0)
-    assert contour.extremes.tolist() == [[0, 0], [0, 2], [1, 0], [1, 2], [2, 0], [2, 2]]
+    assert (contour.left, contour.top.tolist(), contour.bottom.tolist()) == (0, [0] * 3, [2] * 3)
 
 
 def test_contour_follows_largest_component():
@@ -78,8 +79,8 @@ def test_contour_follows_largest_component():
     mask[1:3, 1:4] = True          # 6 pixels
     mask[5:10, 5:9] = True         # 20 pixels
     contour = trace_contour(mask)
-    xs, ys = contour.extremes[:, 0], contour.extremes[:, 1]
-    assert xs.min() == 5 and ys.min() == 5 and xs.max() == 8 and ys.max() == 9
+    assert (contour.left, len(contour.top)) == (5, 4)
+    assert contour.top.tolist() == [5] * 4 and contour.bottom.tolist() == [9] * 4
     assert (contour.axial, contour.diagonal) == (14, 0)
 
 
@@ -333,24 +334,32 @@ def test_thin_line_walks_out_and_back():
     assert spikiness(contour) == 0.0
 
 
-def _column_extremes(points):
-    """Each column's lowest and highest y among the points, distinct, sorted."""
+def _column_ends(points):
+    """Each column's lowest and highest point among the points, sorted by x."""
     pts = distinct_points(points)
     edge = pts[1:, 0] != pts[:-1, 0]
-    return pts[np.concatenate(([True], edge)) | np.concatenate((edge, [True]))]
+    return pts[np.concatenate(([True], edge))], pts[np.concatenate((edge, [True]))]
+
+
+def _contour_points(contour):
+    """The contour's column tops and bottoms as (x, y) points."""
+    xs = np.arange(contour.left, contour.left + len(contour.top))
+    return np.concatenate((np.stack((xs, contour.top), axis=1),
+                           np.stack((xs, contour.bottom), axis=1)))
 
 
 def _assert_measures_the_walk(mask):
-    """The counts are the walk's unit and diagonal steps, the extremes are
-    its points' column extremes, and the spikiness is the reference's."""
+    """The counts are the walk's unit and diagonal steps, the column tops and
+    bottoms are its points' column ends, and the spikiness is the reference's."""
     contour = trace_contour(mask)
     walk = reference.trace_contour(mask)
     steps = np.abs(np.diff(np.vstack([walk, walk[:1]]), axis=0)).sum(axis=1)
     assert type(contour.axial) is int and type(contour.diagonal) is int
     assert contour.axial == np.count_nonzero(steps == 1)
     assert contour.diagonal == np.count_nonzero(steps == 2)
-    assert contour.extremes.dtype == np.int64
-    assert np.array_equal(contour.extremes, _column_extremes(walk))
+    assert type(contour.left) is int
+    assert contour.top.dtype == contour.bottom.dtype == np.int64
+    assert np.array_equal(_contour_points(contour), np.concatenate(_column_ends(walk)))
     assert spikiness(contour) == reference.spikiness(walk)
     return contour
 
@@ -531,12 +540,12 @@ def test_spikiness_translation_and_mirror_invariance():
 
 def convex_hull(points):
     """Monotone-chain hull of integer points, counterclockwise, as
-    `spikiness` computes it."""
-    return _hull_of_distinct(distinct_points(points))
+    `spikiness` computes it from each column's lowest and highest point."""
+    return np.array(_hull(*_column_ends(points)), dtype=np.int64)
 
 
 def test_convex_hull_of_square_ring():
-    points = trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1))).extremes
+    points = _contour_points(trace_contour(_rect_mask(4, 4, shape=(6, 6), offset=(1, 1))))
     hull = convex_hull(points)
     assert set(map(tuple, hull.tolist())) == {(1, 1), (4, 1), (4, 4), (1, 4)}
 
@@ -552,7 +561,11 @@ _point_sets = st.one_of(
 @given(_point_sets)
 @settings(max_examples=400, deadline=None)
 def test_convex_hull_matches_full_monotone_chain(points):
+    # `spikiness` builds no hull below 3 distinct points; of one point, the
+    # chains would give it twice.
     points = np.array(points, dtype=np.int64).reshape(-1, 2)
+    if len(distinct_points(points)) < 3:
+        return
     hull = convex_hull(points)
     expected = reference.convex_hull(points)
     assert hull.dtype == np.int64 and hull.shape == expected.shape
@@ -563,17 +576,16 @@ def test_hull_and_spikiness_match_oracle_on_stars():
     for amplitude in (0.0, 2.0, 5.0):
         mask = star_mask(48, 7, 12.0, amplitude)
         contour, walk = trace_contour(mask), reference.trace_contour(mask)
-        assert np.array_equal(convex_hull(contour.extremes), reference.convex_hull(walk))
+        assert np.array_equal(convex_hull(_contour_points(contour)), reference.convex_hull(walk))
         assert spikiness(contour) == reference.spikiness(walk)
 
 
-@given(st.one_of(_point_sets, _random_masks().map(lambda mask: trace_contour(mask).extremes)))
+@given(st.one_of(_point_sets, _random_masks().map(lambda mask: _contour_points(trace_contour(mask)))))
 @settings(max_examples=300, deadline=None)
 def test_hull_of_three_distinct_points_has_a_positive_perimeter(points):
     # `spikiness` divides by this perimeter without a zero check.
-    distinct = distinct_points(points)
-    if len(distinct) >= 3:
-        assert polygon_perimeter(_hull_of_distinct(distinct)) >= 2.0
+    if len(distinct_points(points)) >= 3:
+        assert polygon_perimeter(convex_hull(points)) >= 2.0
 
 
 # -------------------------------------------------------------- 2-means

@@ -327,7 +327,7 @@ def _oracle(image_id, p_swin, p_med, source, boosts, gate_model, config, skip_mi
         return DecisionTrace(image_id, base, candidate, Phase.FAILED_SEMANTIC), base
     try:
         sample = source(image_id)
-    except SampleNotFoundError as exc:
+    except (SampleNotFoundError, ValidationError) as exc:
         if not skip_missing:
             raise
         trace = DecisionTrace(
@@ -478,6 +478,25 @@ def test_batch_skip_missing_denies_rescue(gate):
     assert traces[0].phase_reached is Phase.FAILED_MORPHOLOGY
     assert traces[0].final_label == LY
     assert "no sample" in traces[0].error
+
+
+def test_batch_skip_missing_denies_an_unreadable_sample_but_no_other_io_error(gate):
+    swin, med = _tables([("a", {LY: 0.5, PLY: 0.12})], [("a", {PLY: 0.9})])
+
+    def unreadable(image_id):
+        raise ValidationError(f"{image_id}.ppm: truncated raster (3 of 4 bytes)")
+
+    def unpermitted(image_id):
+        raise PermissionError(f"{image_id}.ppm: permission denied")
+
+    with pytest.raises(ValidationError, match="truncated raster"):
+        rescue_batch(swin, med, unreadable, _counts(), gate, RescueConfig())
+    [trace] = rescue_batch(swin, med, unreadable, _counts(), gate, RescueConfig(),
+                           skip_missing=True)
+    assert trace.phase_reached is Phase.FAILED_MORPHOLOGY and trace.final_label == LY
+    assert trace.error == "a.ppm: truncated raster (3 of 4 bytes)"
+    with pytest.raises(PermissionError):
+        rescue_batch(swin, med, unpermitted, _counts(), gate, RescueConfig(), skip_missing=True)
 
 
 def test_batch_rejects_unfilterable_rare_class_before_loading(gate):
